@@ -17,7 +17,10 @@ output are byte-identical across reruns and worker counts.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import ctypes
 from dataclasses import dataclass, field
+import functools
 import math
 import time
 
@@ -133,6 +136,59 @@ class ExperimentGrid:
             raise ConfigError(f"methods must be a nonempty subset of {METHODS}")
 
 
+# thread-count (getter, setter) names of upstream OpenBLAS and of the
+# builds numpy and scipy wheels ship; 64_ marks 64-bit-integer builds
+_BLAS_THREAD_API = [(f"{lib}_get_num_threads{tag}",
+                     f"{lib}_set_num_threads{tag}")
+                    for lib in ("openblas", "scipy_openblas")
+                    for tag in ("", "64_")]
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS in the process,
+    found in its memory map (Linux); empty where that cannot be read."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[-1].strip()
+                     for line in maps if "openblas" in line}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        controls.extend((getattr(lib, get), getattr(lib, put))
+                        for get, put in _BLAS_THREAD_API
+                        if hasattr(lib, get) and hasattr(lib, put))
+    return tuple(controls)
+
+
+def _one_blas_thread() -> None:
+    for _, put in _blas_thread_controls():
+        put(1)
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Hold every OpenBLAS to one thread, then restore the old counts.
+
+    Grids are parallel across trials: BLAS threads on top of pool workers
+    oversubscribe the CPU (numpy and scipy each load an OpenBLAS, whose
+    idle threads spin against each other), and the BLAS thread count
+    moves the last bits of results, which must not depend on the cores.
+    """
+    saved = [(put, get()) for get, put in _blas_thread_controls()]
+    _one_blas_thread()
+    try:
+        yield
+    finally:
+        for put, count in saved:
+            put(count)
+
+
 def _solve_prepared(signal, ensemble, method, configs, threshold,
                     record_timing, seed, trial_index):
     truth = signal.to_dense()
@@ -160,19 +216,18 @@ def run_trial(n: int, s: int, m: int, method: str, trial_index: int,
     """Sample one instance from the derived seed, solve it, record it.
 
     Identical arguments yield identical records apart from ``elapsed_ms``
-    (pass record_timing=False for byte-identical reruns). Degenerate
+    (pass record_timing=False for byte-identical reruns), equal to the
+    matching ``run_grid`` record: both run BLAS on one thread. Degenerate
     solves are recorded (rel_error = 1 for a zero estimate), never raised.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
-    configs = configs or SolverConfigs()
-    seed = derive_trial_seed(grid_seed, n, s, m, trial_index)
-    rng = trial_rng(seed)
-    signal = sample_signal(n, s, rng)
-    ensemble = measure(signal, m, rng)
-    return _solve_prepared(signal, ensemble, method, configs,
-                           success_threshold, record_timing, seed,
-                           trial_index)
+    work = _GridWork(n=n, seed=grid_seed, methods=(method,),
+                     success_threshold=success_threshold,
+                     configs=configs or SolverConfigs(),
+                     record_timing=record_timing)
+    with _single_blas_thread():
+        return _cell_task((work, s, m, trial_index))[0]
 
 
 def _cell_task(args):
@@ -280,9 +335,10 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1,
     """Run every (s, m, method, trial) cell of the grid.
 
     Methods within a cell share the sampled data (paired comparisons).
-    Tasks run across a process pool when parallelism > 1; records come
-    back sorted by (method, s, m, trial_index), independent of the worker
-    count.
+    Tasks run across a process pool when parallelism > 1. BLAS runs on
+    one thread throughout, in the caller and in every worker. Records
+    come back sorted by (method, s, m, trial_index), independent of the
+    worker count.
     """
     if parallelism < 1:
         raise ConfigError("parallelism must be positive")
@@ -293,12 +349,14 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1,
              for s in grid.s_list
              for m in grid.m_list
              for t in range(grid.trials)]
-    if parallelism == 1:
-        batches = [_cell_task(t) for t in tasks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=parallelism) as pool:
-            batches = list(pool.map(_cell_task, tasks, chunksize=1))
+    with _single_blas_thread():
+        if parallelism == 1:
+            batches = [_cell_task(t) for t in tasks]
+        else:
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=parallelism,
+                    initializer=_one_blas_thread) as pool:
+                batches = list(pool.map(_cell_task, tasks, chunksize=1))
     records = [r for batch in batches for r in batch]
     records.sort(key=lambda r: (r.method, r.s, r.m, r.trial_index))
     return GridResult(records=records, cells=aggregate(records))
@@ -359,12 +417,30 @@ def _coerce_section(cls, data, name):
         raise ConfigError(f"bad {name} settings: {exc}") from None
 
 
+def _integer(value, name: str) -> int:
+    # JSON numbers only: a bool, a string or a fractional value is refused
+    # rather than truncated
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or (isinstance(value, float) and value.is_integer())):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _list(data: dict, key: str) -> list:
+    value = data[key]
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def grid_from_dict(data: dict) -> ExperimentGrid:
     """Build an ExperimentGrid from config-JSON content.
 
     Top-level keys mirror the ExperimentGrid fields (snake_case); the
     optional "configs" object takes "init", "htp" (field overrides) and
-    "restarts" (an integer).
+    "restarts" (an integer). n, trials, seed, restarts and the s/m list
+    items must be integers; s_list, m_list and methods must be lists.
     """
     if not isinstance(data, dict):
         raise ConfigError("grid config must be a JSON object")
@@ -389,16 +465,19 @@ def grid_from_dict(data: dict) -> ExperimentGrid:
                 if "init" in raw else InitConfig())
         htp = (_coerce_section(HtpConfig, raw["htp"], "htp")
                if "htp" in raw else HtpConfig())
-        restarts = raw.get("restarts", 20)
-        if not isinstance(restarts, int) or restarts < 1:
+        restarts = _integer(raw.get("restarts", 20), "restarts")
+        if restarts < 1:
             raise ConfigError("restarts must be a positive integer")
         configs = SolverConfigs(init=init, htp=htp, restarts=restarts)
 
+    s_list = tuple(_integer(v, "s_list item") for v in _list(data, "s_list"))
+    m_list = tuple(_integer(v, "m_list item") for v in _list(data, "m_list"))
     try:
         return ExperimentGrid(
-            n=int(data["n"]), s_list=tuple(data["s_list"]),
-            m_list=tuple(data["m_list"]), trials=int(data["trials"]),
-            seed=int(data["seed"]), methods=tuple(data["methods"]),
+            n=_integer(data["n"], "n"), s_list=s_list, m_list=m_list,
+            trials=_integer(data["trials"], "trials"),
+            seed=_integer(data["seed"], "seed"),
+            methods=tuple(_list(data, "methods")),
             success_threshold=float(data.get("success_threshold", 1e-3)),
             configs=configs)
     except (TypeError, ValueError) as exc:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import SymMatrix, top_eigenvector
-from .model import Ensemble, dist
+from .model import Ensemble, apply_sensing, dist
 
 _CONTRACTION = 0.98   # per-iteration factor the default budget assumes
 _BASIN = 0.125        # refinement basin radius the budget targets
@@ -48,12 +48,11 @@ class InitConfig:
     """Initializer parameters.
 
     l, u: truncation band in units of nu (worked constants 0.5 and 10).
-    s_prime: enlarged sparsity during the power iterations; None means
+    s_prime: enlarged sparsity inside the truncated power loop; None means
         min(2 s, n), resolved at call time.
     t_max: iteration budget for the truncated power loop.
     step_tol: early stop once the sign-invariant step dist(w_t, w_{t-1})
         falls below this.
-    eig_tol, eig_max_iter: forwarded to the dense eigensolver.
     """
 
     l: float = 0.5
@@ -61,8 +60,6 @@ class InitConfig:
     s_prime: int | None = None
     t_max: int = DEFAULT_T_MAX
     step_tol: float = 1e-8
-    eig_tol: float = 1e-10
-    eig_max_iter: int = 1000
 
     def __post_init__(self):
         if not (0 <= self.l < self.u):
@@ -165,12 +162,7 @@ def ybar_matvec(e: Ensemble, w, l: float, u: float) -> np.ndarray:
     if w.shape != (e.n,):
         raise ValueError("vector length must match the signal dimension")
     weights = truncation_weights(e, l, u)
-    nz = np.flatnonzero(w)
-    if 0 < nz.size <= e.n // 4:
-        z = e.A[:, nz] @ w[nz]
-    else:
-        z = e.A @ w
-    return e.A.T @ (weights * z) / e.m
+    return e.A.T @ (weights * apply_sensing(e, w)) / e.m
 
 
 def restricted_ybar(e: Ensemble, support, l: float, u: float) -> SymMatrix:
@@ -196,7 +188,7 @@ def _spectral_from_support(e: Ensemble, s: int, cfg: InitConfig,
                            ybar_builder) -> InitEstimate:
     build = ybar_builder if ybar_builder is not None else restricted_ybar
     block = build(e, support, cfg.l, cfg.u)
-    eig = top_eigenvector(block, cfg.eig_tol, cfg.eig_max_iter)
+    eig = top_eigenvector(block)
     x0 = np.zeros(e.n)
     x0[support] = eig.vector
     return InitEstimate(xhat=e.nu * x0, support=support, j0=j0,
@@ -242,11 +234,7 @@ def modified_spectral_init(e: Ensemble, s: int, cfg: InitConfig | None = None,
 def magnitude_misfit(e: Ensemble, xhat) -> float:
     """Phaseless data misfit ||y - |A xhat|||_2 of a candidate estimate."""
     xhat = np.asarray(xhat, dtype=float)
-    nz = np.flatnonzero(xhat)
-    if nz.size == 0:
-        return float(np.linalg.norm(e.y))
-    z = e.A[:, nz] @ xhat[nz] if nz.size <= e.n // 4 else e.A @ xhat
-    return float(np.linalg.norm(e.y - np.abs(z)))
+    return float(np.linalg.norm(e.y - np.abs(apply_sensing(e, xhat))))
 
 
 def tp_init(e: Ensemble, s: int, cfg: InitConfig | None = None, *,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Ensemble, SparseSignal, norm_estimate
+from .model import Ensemble, SparseSignal
 
 
 class InstanceFormatError(ValueError):
@@ -102,5 +102,5 @@ def load_instance(path) -> tuple[Ensemble, SparseSignal]:
 
     A.flags.writeable = False
     y.flags.writeable = False
-    ensemble = Ensemble(n=n, m=m, A=A, y=y, nu=norm_estimate(y))
+    ensemble = Ensemble(n=n, m=m, A=A, y=y)
     return ensemble, signal

@@ -1,9 +1,10 @@
 """Dense symmetric eigen-kernel and support-restricted least squares.
 
 Everything else in the package works matrix-free; the two dense kernels
-live here. Both are deterministic functions of their inputs: the power
-iteration uses a fixed start vector instead of a random one, and the
-eigenvector sign is pinned so repeated runs agree bitwise.
+live here. Both hand a small |S| x |S| matrix to LAPACK: a symmetric
+eigensolve for the top eigenpair and a Cholesky solve for least squares.
+Both are deterministic functions of their inputs, and the eigenvector
+sign is pinned so repeated runs agree bitwise.
 """
 
 from __future__ import annotations
@@ -46,7 +47,12 @@ class SymMatrix:
 
 @dataclass(frozen=True)
 class TopEigResult:
-    """Dominant eigenpair plus the flags the iteration can raise."""
+    """Dominant eigenpair and its flags.
+
+    ``converged`` is always True and ``iterations`` always 0: the pair
+    comes from a direct LAPACK solve, not an iteration. ``degenerate``
+    marks the zero matrix.
+    """
 
     vector: np.ndarray
     value: float
@@ -63,31 +69,19 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def top_eigenvector(matrix: SymMatrix, tol: float = 1e-10,
-                    max_iter: int = 1000) -> TopEigResult:
+def top_eigenvector(matrix: SymMatrix) -> TopEigResult:
     """Top (largest algebraic) eigenpair of a symmetric matrix.
 
-    Power iteration on the Gershgorin-shifted matrix M + rI, where r is the
-    maximal absolute row sum. The shift makes the algebraic top eigenvalue
-    dominant in magnitude (eigenvectors are unchanged), so the method also
-    handles indefinite matrices whose most negative eigenvalue is largest
-    in magnitude.
-
-    Two deterministic starts run: the standard basis vector at the largest
-    diagonal entry, and that vector perturbed by the all-ones direction
-    (covering starts that are exactly an eigenvector of a lesser
-    eigenvalue, where the residual test alone would accept the wrong
-    pair); the larger Rayleigh quotient wins. The returned vector has unit
-    length and a nonnegative first nonzero component.
+    One LAPACK call (``scipy.linalg.eigh`` restricted to the last index)
+    computes the pair directly, so there are no power steps: the result
+    always reports ``iterations=0`` and ``converged=True``. A LAPACK
+    failure raises ``LinAlgError``. The returned vector has unit length
+    and a nonnegative first nonzero component.
 
     A zero matrix yields (e_0, 0.0) with ``degenerate=True``.
     """
     if not isinstance(matrix, SymMatrix):
         matrix = SymMatrix(matrix)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     M = matrix.entries
     k = matrix.order
 
@@ -96,34 +90,10 @@ def top_eigenvector(matrix: SymMatrix, tol: float = 1e-10,
         v[0] = 1.0
         return TopEigResult(v, 0.0, True, True, 0)
 
-    shift = float(np.max(np.sum(np.abs(M), axis=1)))
-
-    def run(v0: np.ndarray) -> tuple[np.ndarray, float, bool, int]:
-        v = v0 / np.linalg.norm(v0)
-        lam = float(v @ (M @ v))
-        for it in range(1, max_iter + 1):
-            w = (M @ v) + shift * v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return v, lam, False, it  # start hit the shifted nullspace
-            v = w / nw
-            mv = M @ v
-            lam = float(v @ mv)
-            resid = float(np.max(np.abs(mv - lam * v)))
-            if resid <= tol * max(1.0, abs(lam)):
-                return v, lam, True, it
-        return v, lam, False, max_iter
-
-    start = np.zeros(k)
-    start[int(np.argmax(np.diag(M)))] = 1.0
-    v, lam, ok, iters = run(start)
-    v2, lam2, ok2, iters2 = run(start + np.full(k, 1.0 / np.sqrt(k)))
-    total = iters + iters2
-    # Rayleigh quotients never exceed the top eigenvalue, so the larger
-    # quotient is always the better approximant
-    if lam2 > lam:
-        v, lam, ok = v2, lam2, ok2
-    return TopEigResult(_fix_sign(v), lam, ok, False, total)
+    values, vectors = scipy.linalg.eigh(M, subset_by_index=[k - 1, k - 1],
+                                        check_finite=False)
+    return TopEigResult(_fix_sign(vectors[:, 0]), float(values[0]), True,
+                        False, 0)
 
 
 def restricted_least_squares(A, support, b, ridge_scale: float = 1e-12):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .initializers import (InitConfig, modified_spectral_init, spectral_init,
                            tp_init, y_diag)
-from .model import Ensemble, relative_error
+from .model import Ensemble, apply_sensing, relative_error, sgn
 from .refine import HtpConfig, htp_run
 
 METHODS = ("spectral", "modified_spectral", "tp", "tp_mr")
@@ -66,9 +66,8 @@ class SolveReport:
 def gradient_residual(e: Ensemble, x) -> float:
     """||A^T (A x - y .* sgn(A x))||_2, the restart selection score."""
     x = np.asarray(x, dtype=float)
-    z = e.A @ x
-    sign = np.where(z >= 0.0, 1.0, -1.0)
-    return float(np.linalg.norm(e.A.T @ (z - e.y * sign)))
+    z = apply_sensing(e, x)
+    return float(np.linalg.norm(e.A.T @ (z - e.y * sgn(z))))
 
 
 def _relative(value, truth):

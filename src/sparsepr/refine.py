@@ -23,7 +23,7 @@ import numpy as np
 
 from .initializers import top_magnitude_indices
 from .linalg import restricted_least_squares
-from .model import Ensemble
+from .model import Ensemble, apply_sensing, sgn
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,6 @@ class RefineResult:
     residual_history: np.ndarray
 
 
-def _sign(z: np.ndarray) -> np.ndarray:
-    # sgn(0) := +1
-    return np.where(z >= 0.0, 1.0, -1.0)
-
-
-def _apply(e: Ensemble, x: np.ndarray) -> np.ndarray:
-    nz = np.flatnonzero(x)
-    if 0 < nz.size <= e.n // 4:
-        return e.A[:, nz] @ x[nz]
-    return e.A @ x
-
-
 def htp_step(e: Ensemble, x_k, s: int,
              cfg: HtpConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One HTP step; returns (x_next, selected support, sorted)."""
@@ -80,8 +68,8 @@ def htp_step(e: Ensemble, x_k, s: int,
     x_k = np.asarray(x_k, dtype=float)
     if np.count_nonzero(x_k) > s:
         raise ValueError("iterate must be s-sparse")
-    z = _apply(e, x_k)
-    b = e.y * _sign(z)
+    z = apply_sensing(e, x_k)
+    b = e.y * sgn(z)
     g = x_k + (cfg.mu / e.m) * (e.A.T @ (b - z))
     support = top_magnitude_indices(g, s)
     x_next, _ = restricted_least_squares(e.A, support, b)
@@ -105,8 +93,8 @@ def htp_run(e: Ensemble, x0, s: int,
     for _ in range(cfg.max_iters):
         x, support = htp_step(e, x, s, cfg)
         iterations += 1
-        z = _apply(e, x)
-        res = float(np.linalg.norm(z - e.y * _sign(z)))
+        z = apply_sensing(e, x)
+        res = float(np.linalg.norm(z - e.y * sgn(z)))
         rel = res / y_norm if y_norm > 0 else res
         residuals.append(rel)
         streak = streak + 1 if np.array_equal(support, prev_support) else 1

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 import sparsepr as sp
-from conftest import dense_truncated_y
 
 GRID_SEED = 0
 WORKERS = 2
@@ -65,7 +64,7 @@ def test_criterion_1_truncated_moments():
            f"{elapsed:.2f}s")
 
 
-def test_criterion_2_expectation_identities():
+def test_criterion_2_expectation_identities(dense_ybar):
     t0 = time.perf_counter()
     rng = sp.trial_rng(sp.derive_trial_seed(GRID_SEED, 8, 3, 200_000, 0))
     x = sp.sample_signal(8, 3, rng)
@@ -78,7 +77,7 @@ def test_criterion_2_expectation_identities():
 
     alpha = sp.truncated_gaussian_moment(2, 0.5, 10.0)
     beta = sp.truncated_gaussian_moment(4, 0.5, 10.0)
-    dense = dense_truncated_y(e.A, e.y, x.norm, 0.5, 10.0)
+    dense = dense_ybar(e.A, e.y, x.norm, 0.5, 10.0)
     expected = (beta - alpha) * np.outer(xd, xd) + \
         alpha * x.norm**2 * np.eye(8)
     matrix_err = float(np.max(np.abs(dense - expected)))
@@ -90,7 +89,7 @@ def test_criterion_2_expectation_identities():
            f"tol {tol:.4f}, {elapsed:.1f}s")
 
 
-def test_criterion_3_matrix_free_against_dense():
+def test_criterion_3_matrix_free_against_dense(dense_ybar):
     rng = np.random.default_rng(303)
     worst = 0.0
     for k in range(20):
@@ -100,7 +99,7 @@ def test_criterion_3_matrix_free_against_dense():
         g = sp.trial_rng(sp.derive_trial_seed(GRID_SEED, n, s, m, k))
         x = sp.sample_signal(n, s, g)
         e = sp.measure(x, m, g)
-        dense = dense_truncated_y(e.A, e.y, e.nu, 0.5, 10.0)
+        dense = dense_ybar(e.A, e.y, e.nu, 0.5, 10.0)
         w = g.standard_normal(n)
         worst = max(worst, float(np.max(np.abs(
             sp.ybar_matvec(e, w, 0.5, 10.0) - dense @ w))))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -83,7 +84,7 @@ class TestGrid:
         cfg_path.write_text(json.dumps(config))
         proc = run_cli(["grid", "--config", str(cfg_path), "--out",
                         str(tmp_path / "r.csv"), "--no-timing"],
-                       env={"SPARSEPR_THREADS": "2", "PATH": "/usr/bin:/bin"})
+                       env={**os.environ, "SPARSEPR_THREADS": "2"})
         assert proc.returncode == 0, proc.stderr
 
     def test_missing_config_file_exits_3(self, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sparsepr as sp
+from sparsepr import harness
 from sparsepr.harness import (ConfigError, grid_from_dict, run_grid,
                               splitmix64)
 
@@ -92,6 +93,22 @@ class TestRunGrid:
         serial = run_grid(small_grid, parallelism=1, record_timing=False)
         pooled = run_grid(small_grid, parallelism=2, record_timing=False)
         assert sp.emit_csv(serial.records) == sp.emit_csv(pooled.records)
+
+    def test_blas_held_to_one_thread_then_restored(self, small_grid,
+                                                   monkeypatch):
+        controls = harness._blas_thread_controls()
+        before = [get() for get, _ in controls]
+        seen = []
+        cell_task = harness._cell_task
+
+        def spy(args):
+            seen.append([get() for get, _ in controls])
+            return cell_task(args)
+
+        monkeypatch.setattr(harness, "_cell_task", spy)
+        run_grid(small_grid, parallelism=1, record_timing=False)
+        assert seen and all(counts == [1] * len(controls) for counts in seen)
+        assert [get() for get, _ in controls] == before
 
     def test_matches_individual_run_trial(self, small_grid):
         result = run_grid(small_grid, parallelism=1, record_timing=False)
@@ -203,6 +220,32 @@ class TestGridFromDict:
         with pytest.raises(ConfigError):
             sp.ExperimentGrid(n=4, s_list=(5,), m_list=(10,), trials=1,
                               seed=0, methods=("tp",))
+
+    @pytest.mark.parametrize("key,value", [
+        ("s_list", "25"), ("m_list", "300"), ("methods", "tp"),
+        ("trials", 1.9), ("trials", True), ("seed", 1.5), ("n", True),
+        ("n", "64"), ("s_list", [True]), ("m_list", [100.5]),
+    ])
+    def test_reinterpretable_values_rejected(self, key, value):
+        data = {"n": 64, "s_list": [4], "m_list": [100], "trials": 1,
+                "seed": 1, "methods": ["tp"], key: value}
+        with pytest.raises(ConfigError):
+            grid_from_dict(data)
+
+    def test_integral_float_accepted(self):
+        grid = grid_from_dict({"n": 64.0, "s_list": [4], "m_list": [100],
+                               "trials": 2.0, "seed": 1, "methods": ["tp"]})
+        assert grid.n == 64 and grid.trials == 2
+
+    @pytest.mark.parametrize("configs", [
+        {"restarts": True}, {"restarts": 2.5},
+        {"init": {"eig_tol": 1e-10}},
+    ])
+    def test_bad_configs_section_rejected(self, configs):
+        with pytest.raises(ConfigError):
+            grid_from_dict({"n": 64, "s_list": [4], "m_list": [100],
+                            "trials": 1, "seed": 1, "methods": ["tp"],
+                            "configs": configs})
 
 
 class TestSummaryTable:

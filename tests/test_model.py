@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 
 import sparsepr as sp
-from sparsepr.model import TruncationMoments
+from sparsepr.model import TruncationMoments, apply_sensing, sgn
 
 
 class TestSparseSignal:
@@ -101,6 +101,27 @@ class TestMeasure:
         e = sp.measure(sp.sample_signal(10, 2, rng), 5, rng)
         with pytest.raises(ValueError):
             e.A[0, 0] = 1.0
+
+    def test_nu_derived_not_passed(self):
+        e = sp.Ensemble.from_measurements(np.ones((2, 3)), [3.0, 4.0])
+        assert e.nu == sp.norm_estimate([3.0, 4.0])
+        with pytest.raises(TypeError):
+            sp.Ensemble(n=3, m=2, A=e.A, y=e.y, nu=1.0)
+
+
+class TestApplySensing:
+    def test_sparse_gather_matches_dense(self):
+        rng = sp.trial_rng(4)
+        e = sp.measure(sp.sample_signal(40, 3, rng), 25, rng)
+        for k in (0, 1, 10, 11, 40):  # gather up to n // 4 = 10 nonzeros
+            x = np.zeros(40)
+            x[:k] = rng.standard_normal(k)
+            np.testing.assert_allclose(apply_sensing(e, x), e.A @ x,
+                                       atol=1e-12)
+
+    def test_sgn_maps_zero_to_plus_one(self):
+        np.testing.assert_array_equal(sgn(np.array([-2.0, 0.0, -0.0, 3.0])),
+                                      [-1.0, 1.0, 1.0, 1.0])
 
 
 class TestNormEstimate:
