@@ -32,7 +32,8 @@ else:
     print(f"trial {trial}: plain TP fails (rel err "
           f"{sp.solve_two_stage(e, s, 'tp', truth=xd).rel_error:.2f})")
     for b in (1, 5, 20):
-        rep = sp.solve_multi_restart(e, s, sp.RestartConfig(b=b), truth=xd)
+        rep = sp.solve_multi_restart(e, s, sp.SolverConfigs(restarts=b),
+                                     truth=xd)
         status = "recovered" if rep.rel_error <= 1e-3 else "failed"
         print(f"  b={b:2d}: {status}, rel err {rep.rel_error:.2e}, "
               f"chosen restart {rep.chosen_restart}, selection residual "

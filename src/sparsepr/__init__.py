@@ -6,10 +6,10 @@ initializers, hard thresholding pursuit refinement, multi-restart
 solving, and a reproducible Monte Carlo benchmark harness.
 """
 
-from .harness import (CellSummary, ExperimentGrid, GridResult, SolverConfigs,
-                      TrialRecord, aggregate, derive_trial_seed, emit_csv,
-                      parse_csv, run_grid, run_trial, summary_table,
-                      trial_rng, wilson_interval)
+from .harness import (CellSummary, ExperimentGrid, GridResult, TrialRecord,
+                      aggregate, derive_trial_seed, emit_csv, parse_csv,
+                      run_grid, run_trial, solve, summary_table, trial_rng,
+                      wilson_interval)
 from .initializers import (InitConfig, InitEstimate, modified_spectral_init,
                            restricted_ybar, spectral_init, support_diag,
                            support_j0, tp_init, truncate, y_column, y_diag,
@@ -19,7 +19,7 @@ from .linalg import SymMatrix, restricted_least_squares, top_eigenvector
 from .model import (Ensemble, SparseSignal, TruncationMoments, dist, measure,
                     norm_estimate, relative_error, sample_signal,
                     truncated_gaussian_moment)
-from .pipeline import (METHODS, RestartConfig, SolveReport, gradient_residual,
+from .pipeline import (METHODS, SolveReport, SolverConfigs, gradient_residual,
                        solve_multi_restart, solve_two_stage)
 from .refine import HtpConfig, RefineResult, htp_run, htp_step
 
@@ -28,13 +28,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CellSummary", "Ensemble", "ExperimentGrid", "GridResult", "HtpConfig",
     "InitConfig", "InitEstimate", "InstanceFormatError", "METHODS",
-    "RefineResult", "RestartConfig", "SolveReport", "SolverConfigs",
-    "SparseSignal", "SymMatrix", "TrialRecord", "TruncationMoments",
+    "RefineResult", "SolveReport", "SolverConfigs", "SparseSignal",
+    "SymMatrix", "TrialRecord", "TruncationMoments",
     "aggregate", "derive_trial_seed", "dist", "emit_csv",
     "gradient_residual", "htp_run", "htp_step", "load_instance", "measure",
     "modified_spectral_init", "norm_estimate", "parse_csv", "relative_error",
     "restricted_least_squares", "restricted_ybar", "run_grid", "run_trial",
-    "sample_signal", "save_instance", "solve_multi_restart",
+    "sample_signal", "save_instance", "solve", "solve_multi_restart",
     "solve_two_stage", "spectral_init", "summary_table", "support_diag",
     "support_j0", "top_eigenvector", "tp_init", "trial_rng", "truncate",
     "truncated_gaussian_moment", "wilson_interval", "y_column", "y_diag",

@@ -139,20 +139,12 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .harness import SolverConfigs
+    from .harness import solve
     from .instance_io import format_row, load_instance
-    from .pipeline import solve_multi_restart, solve_two_stage
 
     ensemble, signal = load_instance(args.instance)
-    method = _METHOD_ALIASES[args.method]
-    configs = SolverConfigs()
-    truth = signal.to_dense()
-    if method == "tp_mr":
-        report = solve_multi_restart(ensemble, args.s,
-                                     configs.restart_config(), truth=truth)
-    else:
-        report = solve_two_stage(ensemble, args.s, method, configs.init,
-                                 configs.htp, truth=truth)
+    report = solve(ensemble, args.s, _METHOD_ALIASES[args.method],
+                   truth=signal.to_dense())
     print(format_row(report.x))
     print(json.dumps({
         "method": report.method,

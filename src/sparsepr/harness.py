@@ -19,17 +19,18 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 import functools
 import math
+import os
 import time
 
 import numpy as np
 
 from .initializers import InitConfig
-from .model import measure, relative_error, sample_signal
-from .pipeline import (METHODS, RestartConfig, solve_multi_restart,
-                       solve_two_stage)
+from .model import Ensemble, measure, sample_signal
+from .pipeline import (METHODS, SolveReport, SolverConfigs,
+                       solve_multi_restart, solve_two_stage)
 from .refine import HtpConfig
 
 _MASK64 = (1 << 64) - 1
@@ -67,23 +68,6 @@ def derive_trial_seed(grid_seed: int, n: int, s: int, m: int,
 def trial_rng(seed: int) -> np.random.Generator:
     """Counter-based generator for one trial (Philox, 64-bit key)."""
     return np.random.Generator(np.random.Philox(key=seed))
-
-
-@dataclass(frozen=True)
-class SolverConfigs:
-    """Method parameter overrides shared by every trial in a grid."""
-
-    init: InitConfig = field(default_factory=InitConfig)
-    htp: HtpConfig = field(default_factory=HtpConfig)
-    restarts: int = 20
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ConfigError("restarts must be positive")
-
-    def restart_config(self) -> RestartConfig:
-        return RestartConfig(b=self.restarts, inner=self.init,
-                             refine=self.htp)
 
 
 @dataclass(frozen=True)
@@ -129,7 +113,7 @@ class ExperimentGrid:
             raise ConfigError("every m must be positive")
         if self.trials < 1:
             raise ConfigError("need at least one trial")
-        if self.success_threshold <= 0:
+        if not self.success_threshold > 0:  # NaN included
             raise ConfigError("success threshold must be positive")
         unknown = [meth for meth in self.methods if meth not in METHODS]
         if unknown or not self.methods:
@@ -189,24 +173,16 @@ def _single_blas_thread():
             put(count)
 
 
-def _solve_prepared(signal, ensemble, method, configs, threshold,
-                    record_timing, seed, trial_index):
-    truth = signal.to_dense()
-    t0 = time.perf_counter()
+def solve(e: Ensemble, s: int, method: str,
+          configs: SolverConfigs | None = None, truth=None) -> SolveReport:
+    """Run one of METHODS on an ensemble: tp_mr restarts the truncated
+    power method from ``configs.restarts`` anchors, the others run one
+    initializer followed by HTP."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}")
     if method == "tp_mr":
-        report = solve_multi_restart(ensemble, signal.s,
-                                     configs.restart_config(), truth=truth)
-    else:
-        report = solve_two_stage(ensemble, signal.s, method,
-                                 configs.init, configs.htp, truth=truth)
-    elapsed_ms = (time.perf_counter() - t0) * 1e3 if record_timing else 0.0
-    return TrialRecord(
-        n=signal.n, s=signal.s, m=ensemble.m, trial_index=trial_index,
-        method=method, seed_used=seed,
-        success=bool(report.rel_error <= threshold),
-        rel_error=report.rel_error, init_dist=report.init_dist,
-        htp_iters=report.iterations, chosen_restart=report.chosen_restart,
-        elapsed_ms=elapsed_ms)
+        return solve_multi_restart(e, s, configs, truth=truth)
+    return solve_two_stage(e, s, method, configs, truth=truth)
 
 
 def run_trial(n: int, s: int, m: int, method: str, trial_index: int,
@@ -219,41 +195,41 @@ def run_trial(n: int, s: int, m: int, method: str, trial_index: int,
     (pass record_timing=False for byte-identical reruns), equal to the
     matching ``run_grid`` record: both run BLAS on one thread. Degenerate
     solves are recorded (rel_error = 1 for a zero estimate), never raised.
+    Arguments a grid would refuse raise ConfigError before any sampling.
     """
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}")
-    work = _GridWork(n=n, seed=grid_seed, methods=(method,),
-                     success_threshold=success_threshold,
-                     configs=configs or SolverConfigs(),
-                     record_timing=record_timing)
+    grid = ExperimentGrid(n=n, s_list=(s,), m_list=(m,), trials=1,
+                          seed=grid_seed, methods=(method,),
+                          success_threshold=success_threshold,
+                          configs=configs or SolverConfigs())
     with _single_blas_thread():
-        return _cell_task((work, s, m, trial_index))[0]
+        return _cell_task((grid, record_timing, s, m, trial_index))[0]
 
 
 def _cell_task(args):
-    work, s, m, trial_index = args
-    seed = derive_trial_seed(work.seed, work.n, s, m, trial_index)
+    grid, record_timing, s, m, trial_index = args
+    seed = derive_trial_seed(grid.seed, grid.n, s, m, trial_index)
     rng = trial_rng(seed)
-    signal = sample_signal(work.n, s, rng)
+    signal = sample_signal(grid.n, s, rng)
     ensemble = measure(signal, m, rng)
-    return [
-        _solve_prepared(signal, ensemble, method, work.configs,
-                        work.success_threshold, work.record_timing, seed,
-                        trial_index)
-        for method in work.methods
-    ]
+    truth = signal.to_dense()
+    records = []
+    for method in grid.methods:
+        t0 = time.perf_counter()
+        report = solve(ensemble, s, method, grid.configs, truth=truth)
+        elapsed_ms = (time.perf_counter() - t0) * 1e3 if record_timing else 0.0
+        records.append(TrialRecord(
+            n=grid.n, s=s, m=m, trial_index=trial_index, method=method,
+            seed_used=seed,
+            success=bool(report.rel_error <= grid.success_threshold),
+            rel_error=report.rel_error, init_dist=report.init_dist,
+            htp_iters=report.iterations,
+            chosen_restart=report.chosen_restart, elapsed_ms=elapsed_ms))
+    return records
 
 
-@dataclass(frozen=True)
-class _GridWork:
-    """Pickled per-task bundle (grid plus the timing switch)."""
-
-    n: int
-    seed: int
-    methods: tuple[str, ...]
-    success_threshold: float
-    configs: SolverConfigs
-    record_timing: bool
+def _workers(requested: int, tasks: int) -> int:
+    """Pool size: never more workers than tasks or CPUs."""
+    return max(1, min(requested, tasks, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -335,26 +311,24 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1,
     """Run every (s, m, method, trial) cell of the grid.
 
     Methods within a cell share the sampled data (paired comparisons).
-    Tasks run across a process pool when parallelism > 1. BLAS runs on
-    one thread throughout, in the caller and in every worker. Records
-    come back sorted by (method, s, m, trial_index), independent of the
-    worker count.
+    Tasks run across a process pool when parallelism > 1, with no more
+    workers than tasks or CPUs. BLAS runs on one thread throughout, in
+    the caller and in every worker. Records come back sorted by (method,
+    s, m, trial_index), independent of the worker count.
     """
     if parallelism < 1:
         raise ConfigError("parallelism must be positive")
-    work = _GridWork(n=grid.n, seed=grid.seed, methods=grid.methods,
-                     success_threshold=grid.success_threshold,
-                     configs=grid.configs, record_timing=record_timing)
-    tasks = [(work, s, m, t)
+    tasks = [(grid, record_timing, s, m, t)
              for s in grid.s_list
              for m in grid.m_list
              for t in range(grid.trials)]
+    workers = _workers(parallelism, len(tasks))
     with _single_blas_thread():
-        if parallelism == 1:
+        if workers == 1:
             batches = [_cell_task(t) for t in tasks]
         else:
             with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=parallelism,
+                    max_workers=workers,
                     initializer=_one_blas_thread) as pool:
                 batches = list(pool.map(_cell_task, tasks, chunksize=1))
     records = [r for batch in batches for r in batch]
@@ -409,11 +383,21 @@ def parse_csv(text: str) -> list[TrialRecord]:
 def _coerce_section(cls, data, name):
     if not isinstance(data, dict):
         raise ConfigError(f"{name} must be an object")
+    kinds = {f.name: f.type for f in fields(cls)}  # annotation strings
+    values = {}
+    for key, value in data.items():
+        kind = kinds.get(key, "")  # an unknown key makes cls() raise
+        if value is None and kind.endswith("None"):
+            values[key] = None
+        elif kind.startswith("int"):
+            values[key] = _integer(value, f"{name}.{key}")
+        elif kind == "float":
+            values[key] = _real(value, f"{name}.{key}")
+        else:
+            values[key] = value
     try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"bad {name} settings: {exc}") from None
-    except ValueError as exc:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {name} settings: {exc}") from None
 
 
@@ -425,6 +409,17 @@ def _integer(value, name: str) -> int:
             or (isinstance(value, float) and value.is_integer())):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    # a finite JSON number: a bool, a string, NaN or an infinity is refused
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past 1e308
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _list(data: dict, key: str) -> list:
@@ -439,8 +434,10 @@ def grid_from_dict(data: dict) -> ExperimentGrid:
 
     Top-level keys mirror the ExperimentGrid fields (snake_case); the
     optional "configs" object takes "init", "htp" (field overrides) and
-    "restarts" (an integer). n, trials, seed, restarts and the s/m list
-    items must be integers; s_list, m_list and methods must be lists.
+    "restarts" (an integer). n, trials, seed, restarts, the s/m list
+    items and the integer init/htp fields must be integers, and
+    success_threshold and the real init/htp fields finite numbers;
+    s_list, m_list and methods must be lists.
     """
     if not isinstance(data, dict):
         raise ConfigError("grid config must be a JSON object")
@@ -453,22 +450,15 @@ def grid_from_dict(data: dict) -> ExperimentGrid:
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
 
-    configs = SolverConfigs()
     raw = data.get("configs", {})
-    if raw:
-        if not isinstance(raw, dict):
-            raise ConfigError("configs must be an object")
-        extra = set(raw) - {"init", "htp", "restarts"}
-        if extra:
-            raise ConfigError(f"unknown configs keys: {sorted(extra)}")
-        init = (_coerce_section(InitConfig, raw["init"], "init")
-                if "init" in raw else InitConfig())
-        htp = (_coerce_section(HtpConfig, raw["htp"], "htp")
-               if "htp" in raw else HtpConfig())
-        restarts = _integer(raw.get("restarts", 20), "restarts")
-        if restarts < 1:
-            raise ConfigError("restarts must be a positive integer")
-        configs = SolverConfigs(init=init, htp=htp, restarts=restarts)
+    if not isinstance(raw, dict):
+        raise ConfigError("configs must be an object")
+    extra = set(raw) - {"init", "htp", "restarts"}
+    if extra:
+        raise ConfigError(f"unknown configs keys: {sorted(extra)}")
+    init = _coerce_section(InitConfig, raw.get("init", {}), "init")
+    htp = _coerce_section(HtpConfig, raw.get("htp", {}), "htp")
+    restarts = _integer(raw.get("restarts", 20), "restarts")
 
     s_list = tuple(_integer(v, "s_list item") for v in _list(data, "s_list"))
     m_list = tuple(_integer(v, "m_list item") for v in _list(data, "m_list"))
@@ -478,8 +468,9 @@ def grid_from_dict(data: dict) -> ExperimentGrid:
             trials=_integer(data["trials"], "trials"),
             seed=_integer(data["seed"], "seed"),
             methods=tuple(_list(data, "methods")),
-            success_threshold=float(data.get("success_threshold", 1e-3)),
-            configs=configs)
+            success_threshold=_real(data.get("success_threshold", 1e-3),
+                                    "success_threshold"),
+            configs=SolverConfigs(init=init, htp=htp, restarts=restarts))
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

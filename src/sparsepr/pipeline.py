@@ -29,15 +29,15 @@ _INITIALIZERS = {
 
 
 @dataclass(frozen=True)
-class RestartConfig:
-    """Restart count plus the per-restart initializer and refiner settings."""
+class SolverConfigs:
+    """Initializer and HTP settings plus the restart count b of tp_mr."""
 
-    b: int = 20
-    inner: InitConfig = field(default_factory=InitConfig)
-    refine: HtpConfig = field(default_factory=HtpConfig)
+    init: InitConfig = field(default_factory=InitConfig)
+    htp: HtpConfig = field(default_factory=HtpConfig)
+    restarts: int = 20
 
     def __post_init__(self):
-        if self.b < 1:
+        if self.restarts < 1:
             raise ValueError("need at least one restart")
 
 
@@ -74,9 +74,18 @@ def _relative(value, truth):
     return None if truth is None else relative_error(value, truth)
 
 
+def _stage(e: Ensemble, s: int, initialize, cfg: SolverConfigs, **kw):
+    """Initialize, then refine with HTP: (estimate, refined, init seconds,
+    refine seconds)."""
+    t0 = time.perf_counter()
+    est = initialize(e, s, cfg.init, **kw)
+    t1 = time.perf_counter()
+    refined = htp_run(e, est.xhat, s, cfg.htp)
+    return est, refined, t1 - t0, time.perf_counter() - t1
+
+
 def solve_two_stage(e: Ensemble, s: int, method: str,
-                    init_cfg: InitConfig | None = None,
-                    htp_cfg: HtpConfig | None = None,
+                    cfg: SolverConfigs | None = None,
                     truth=None) -> SolveReport:
     """Initialize with the named method and refine with HTP.
 
@@ -86,52 +95,42 @@ def solve_two_stage(e: Ensemble, s: int, method: str,
     """
     if method not in _INITIALIZERS:
         raise ValueError(f"unknown two-stage method {method!r}")
-    init_cfg = init_cfg or InitConfig()
-    htp_cfg = htp_cfg or HtpConfig()
-
-    t0 = time.perf_counter()
-    est = _INITIALIZERS[method](e, s, init_cfg)
-    t1 = time.perf_counter()
-    refined = htp_run(e, est.xhat, s, htp_cfg)
-    t2 = time.perf_counter()
-
+    est, refined, init_s, refine_s = _stage(e, s, _INITIALIZERS[method],
+                                            cfg or SolverConfigs())
     return SolveReport(x=refined.x, method=method,
                        init_dist=_relative(est.xhat, truth),
                        rel_error=_relative(refined.x, truth),
-                       init_elapsed=t1 - t0, refine_elapsed=t2 - t1,
+                       init_elapsed=init_s, refine_elapsed=refine_s,
                        iterations=refined.iterations,
                        degenerate=est.degenerate)
 
 
 def solve_multi_restart(e: Ensemble, s: int,
-                        cfg: RestartConfig | None = None,
+                        cfg: SolverConfigs | None = None,
                         truth=None) -> SolveReport:
-    """Truncated power method with multiple restarts (b anchors).
+    """Truncated power method with multiple restarts (b = cfg.restarts).
 
     Restart b' anchors the support rule at the b'-th largest diagonal
     entry of Y (ties to the smaller index), reruns TP + HTP, and the
     candidate minimizing the gradient-norm residual wins; ties keep the
     smallest b'. chosen_restart is the winning b', 1-based.
     """
-    cfg = cfg or RestartConfig()
-    if cfg.b > e.n:
+    cfg = cfg or SolverConfigs()
+    if cfg.restarts > e.n:
         raise ValueError("more restarts than coordinates")
 
     diag = y_diag(e)
     order = np.lexsort((np.arange(e.n), -diag))
-    anchors = order[:cfg.b]  # b'-th entry is the b'-th largest diagonal
+    anchors = order[:cfg.restarts]  # b'-th entry is the b'-th largest
 
     best = None
     init_total = 0.0
     refine_total = 0.0
     for b_index, anchor in enumerate(anchors, start=1):
-        t0 = time.perf_counter()
-        est = tp_init(e, s, cfg.inner, anchor=int(anchor))
-        t1 = time.perf_counter()
-        refined = htp_run(e, est.xhat, s, cfg.refine)
-        t2 = time.perf_counter()
-        init_total += t1 - t0
-        refine_total += t2 - t1
+        est, refined, init_s, refine_s = _stage(e, s, tp_init, cfg,
+                                                anchor=int(anchor))
+        init_total += init_s
+        refine_total += refine_s
         score = gradient_residual(e, refined.x)
         if best is None or score < best[0]:
             best = (score, b_index, est, refined)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -97,6 +99,22 @@ class TestGrid:
         proc = run_cli(["grid", "--config", str(cfg_path)])
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("extra", [
+        {"configs": {"htp": {"max_iters": True}}},
+        {"configs": {"init": {"t_max": 1.5}}},
+        {"success_threshold": float("nan")},
+    ])
+    def test_mistyped_setting_exits_2(self, tmp_path, extra):
+        config = {"n": 16, "s_list": [2], "m_list": [40], "trials": 1,
+                  "seed": 1, "methods": ["tp"], **extra}
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(config))
+        proc = run_cli(["grid", "--config", str(cfg_path), "--out",
+                        str(tmp_path / "r.csv")])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_invalid_json_exits_2(self, tmp_path):
         cfg_path = tmp_path / "grid.json"
         cfg_path.write_text("{not json")
@@ -120,6 +138,20 @@ class TestSolve:
         report = json.loads(lines[1])
         assert report["rel_error"] <= 1e-3
         assert sp.relative_error(recovered, x.to_dense()) <= 1e-3
+
+    def test_multi_restart_reports_chosen_restart(self, tmp_path):
+        rng = sp.trial_rng(41)
+        x = sp.sample_signal(64, 4, rng)
+        path = tmp_path / "inst.spr1"
+        sp.save_instance(path, x, sp.measure(x, 300, rng))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["solve", "--instance", str(path), "--s", "4",
+                         "--method", "tpmr"])
+        assert code == 0
+        report = json.loads(out.getvalue().splitlines()[1])
+        assert report["method"] == "tp_mr"
+        assert 1 <= report["chosen_restart"] <= 20
 
     def test_malformed_instance_exits_2(self, tmp_path):
         path = tmp_path / "bad.spr1"

@@ -1,11 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
 
 import sparsepr as sp
-from sparsepr import harness
+from sparsepr import cli, harness
 from sparsepr.harness import (ConfigError, grid_from_dict, run_grid,
                               splitmix64)
 
@@ -66,6 +68,49 @@ class TestRunTrial:
         with pytest.raises(ConfigError):
             sp.run_trial(10, 2, 20, "nope", 0, 1)
 
+    @pytest.mark.parametrize("s,m", [(11, 20), (0, 20), (2, 0)])
+    def test_out_of_range_cell_rejected_before_sampling(self, s, m,
+                                                        monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled an invalid cell")
+
+        monkeypatch.setattr(harness, "sample_signal", no_sampling)
+        with pytest.raises(ConfigError):
+            sp.run_trial(10, s, m, "tp", 0, 1)
+
+
+class TestSolve:
+    def test_unknown_method(self):
+        rng = sp.trial_rng(3)
+        e = sp.measure(sp.sample_signal(10, 2, rng), 20, rng)
+        with pytest.raises(ConfigError):
+            harness.solve(e, 2, "nope")
+
+    def test_grid_and_cli_reach_the_harness_solver(self, tmp_path,
+                                                   monkeypatch):
+        # benchmarks check solver outputs by patching these harness names
+        calls = []
+        real = harness.solve_multi_restart
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_multi_restart", spy)
+        grid = sp.ExperimentGrid(n=24, s_list=(2,), m_list=(60,), trials=1,
+                                 seed=3, methods=("tp_mr",),
+                                 configs=sp.SolverConfigs(restarts=2))
+        run_grid(grid, record_timing=False)
+        assert len(calls) == 1
+        rng = sp.trial_rng(5)
+        x = sp.sample_signal(24, 2, rng)
+        path = tmp_path / "inst.spr1"
+        sp.save_instance(path, x, sp.measure(x, 60, rng))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["solve", "--instance", str(path), "--s", "2",
+                             "--method", "tpmr"])
+        assert code == 0 and len(calls) == 2
+
 
 @pytest.fixture(scope="module")
 def small_grid():
@@ -120,6 +165,16 @@ class TestRunGrid:
     def test_invalid_parallelism(self, small_grid):
         with pytest.raises(ConfigError):
             run_grid(small_grid, parallelism=0)
+
+    def test_workers_capped_by_tasks_and_cpus(self, monkeypatch):
+        # the pool size is computed, never started, at these sizes
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        assert harness._workers(10**6, 10**6) == 4
+        assert harness._workers(10**6, 3) == 3
+        assert harness._workers(2, 10**6) == 2
+        assert harness._workers(5, 0) == 1
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert harness._workers(10**6, 10**6) == 1
 
 
 class TestWilsonInterval:
@@ -194,10 +249,11 @@ class TestGridFromDict:
         grid = grid_from_dict({
             "n": 64, "s_list": [4], "m_list": [100], "trials": 1,
             "seed": 1, "methods": ["tp_mr"],
-            "configs": {"init": {"t_max": 5}, "htp": {"mu": 0.5},
-                        "restarts": 7},
+            "configs": {"init": {"t_max": 5, "s_prime": None},
+                        "htp": {"mu": 0.5}, "restarts": 7},
         })
         assert grid.configs.init.t_max == 5
+        assert grid.configs.init.s_prime is None
         assert grid.configs.htp.mu == 0.5
         assert grid.configs.restarts == 7
 
@@ -234,18 +290,40 @@ class TestGridFromDict:
 
     def test_integral_float_accepted(self):
         grid = grid_from_dict({"n": 64.0, "s_list": [4], "m_list": [100],
-                               "trials": 2.0, "seed": 1, "methods": ["tp"]})
+                               "trials": 2.0, "seed": 1, "methods": ["tp"],
+                               "configs": {"htp": {"max_iters": 50.0}}})
         assert grid.n == 64 and grid.trials == 2
+        assert type(grid.configs.htp.max_iters) is int
+        assert grid.configs.htp.max_iters == 50
 
     @pytest.mark.parametrize("configs", [
         {"restarts": True}, {"restarts": 2.5},
-        {"init": {"eig_tol": 1e-10}},
+        {"init": {"eig_tol": 1e-10}}, {"htp": {"max_iters": True}},
+        {"init": {"t_max": 1.5}}, {"init": {"s_prime": 2.5}},
+        {"htp": {"support_stall": "2"}}, {"init": {"l": "0.5"}},
+        {"htp": {"mu": math.nan}}, {"init": {"u": math.inf}},
+        {"htp": {"residual_tol": False}}, {"init": {"t_max": None}},
+        None, [],
     ])
     def test_bad_configs_section_rejected(self, configs):
         with pytest.raises(ConfigError):
             grid_from_dict({"n": 64, "s_list": [4], "m_list": [100],
                             "trials": 1, "seed": 1, "methods": ["tp"],
                             "configs": configs})
+
+    @pytest.mark.parametrize("threshold", [
+        "0.001", True, math.nan, math.inf, 10**400, 0, -1e-3])
+    def test_bad_success_threshold_rejected(self, threshold):
+        with pytest.raises(ConfigError):
+            grid_from_dict({"n": 64, "s_list": [4], "m_list": [100],
+                            "trials": 1, "seed": 1, "methods": ["tp"],
+                            "success_threshold": threshold})
+
+    def test_nan_threshold_rejected_from_python(self):
+        with pytest.raises(ConfigError):
+            sp.ExperimentGrid(n=4, s_list=(1,), m_list=(10,), trials=1,
+                              seed=0, methods=("tp",),
+                              success_threshold=math.nan)
 
 
 class TestSummaryTable:

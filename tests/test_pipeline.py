@@ -50,7 +50,8 @@ class TestSolveMultiRestart:
     def test_single_restart_matches_two_stage(self, solved_instance):
         x, e = solved_instance
         xd = x.to_dense()
-        mr = sp.solve_multi_restart(e, x.s, sp.RestartConfig(b=1), truth=xd)
+        mr = sp.solve_multi_restart(e, x.s, sp.SolverConfigs(restarts=1),
+                                    truth=xd)
         ts = sp.solve_two_stage(e, x.s, "tp", truth=xd)
         assert np.array_equal(mr.x, ts.x)
         assert mr.iterations == ts.iterations
@@ -65,26 +66,27 @@ class TestSolveMultiRestart:
 
     def test_exact_recovery_has_zero_residual_and_wins(self, solved_instance):
         x, e = solved_instance
-        rep = sp.solve_multi_restart(e, x.s, sp.RestartConfig(b=3),
+        rep = sp.solve_multi_restart(e, x.s, sp.SolverConfigs(restarts=3),
                                      truth=x.to_dense())
         assert rep.rel_error <= 1e-6
         assert rep.selection_residual <= 1e-6 * e.nu**2 * e.m
 
     def test_selection_residual_reproducible(self, solved_instance):
         x, e = solved_instance
-        rep = sp.solve_multi_restart(e, x.s, sp.RestartConfig(b=4))
+        rep = sp.solve_multi_restart(e, x.s, sp.SolverConfigs(restarts=4))
         again = sp.gradient_residual(e, rep.x)
         assert again == pytest.approx(rep.selection_residual, abs=1e-12)
 
     def test_too_many_restarts_rejected(self, solved_instance):
         x, e = solved_instance
         with pytest.raises(ValueError):
-            sp.solve_multi_restart(e, x.s, sp.RestartConfig(b=e.n + 1))
+            sp.solve_multi_restart(e, x.s,
+                                   sp.SolverConfigs(restarts=e.n + 1))
 
     def test_deterministic(self, solved_instance):
         x, e = solved_instance
-        r1 = sp.solve_multi_restart(e, x.s, sp.RestartConfig(b=3))
-        r2 = sp.solve_multi_restart(e, x.s, sp.RestartConfig(b=3))
+        r1 = sp.solve_multi_restart(e, x.s, sp.SolverConfigs(restarts=3))
+        r2 = sp.solve_multi_restart(e, x.s, sp.SolverConfigs(restarts=3))
         assert np.array_equal(r1.x, r2.x)
         assert r1.chosen_restart == r2.chosen_restart
 
@@ -99,7 +101,7 @@ class TestGradientResidual:
         assert sp.gradient_residual(e, np.zeros(e.n)) > 0
 
 
-class TestRestartConfig:
+class TestSolverConfigs:
     def test_restart_floor(self):
         with pytest.raises(ValueError):
-            sp.RestartConfig(b=0)
+            sp.SolverConfigs(restarts=0)
