@@ -109,6 +109,11 @@ class ExperimentGrid:
             raise ConfigError("grid needs n >= 1 and nonempty s/m lists")
         if any(not 1 <= s <= self.n for s in self.s_list):
             raise ConfigError("every s must satisfy 1 <= s <= n")
+        try:
+            for s in self.s_list:
+                self.configs.init.resolve_s_prime(s, self.n)
+        except ValueError as exc:
+            raise ConfigError(f"bad init settings: {exc}") from None
         if any(m < 1 for m in self.m_list):
             raise ConfigError("every m must be positive")
         if self.trials < 1:
@@ -254,14 +259,14 @@ class GridResult:
     cells: list
 
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default)."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval (z = 1.96) for a binomial proportion."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0 <= successes <= trials:
         raise ValueError("successes out of range")
     p = successes / trials
+    z = 1.96
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
@@ -269,7 +274,7 @@ def wilson_interval(successes: int, trials: int,
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def aggregate(records, threshold: float | None = None) -> list[CellSummary]:
+def aggregate(records) -> list[CellSummary]:
     """Per-cell summaries sorted like the records (method, s, m)."""
     cells = {}
     for r in records:
@@ -278,10 +283,7 @@ def aggregate(records, threshold: float | None = None) -> list[CellSummary]:
     for (method, s, m) in sorted(cells):
         grp = cells[(method, s, m)]
         n_trials = len(grp)
-        if threshold is None:
-            successes = sum(r.success for r in grp)
-        else:
-            successes = sum(r.rel_error <= threshold for r in grp)
+        successes = sum(r.success for r in grp)
         low, high = wilson_interval(successes, n_trials)
         iters = np.array([r.htp_iters for r in grp], dtype=float)
         out.append(CellSummary(

@@ -34,13 +34,10 @@ from .model import Ensemble, apply_sensing, dist
 _CONTRACTION = 0.98   # per-iteration factor the default budget assumes
 _BASIN = 0.125        # refinement basin radius the budget targets
 
-
-def default_t_max(basin: float = _BASIN) -> int:
-    """Iteration budget ceil(log(200/basin) / log(1/0.98)); 366 by default."""
-    return math.ceil(math.log(200.0 / basin) / math.log(1.0 / _CONTRACTION))
-
-
-DEFAULT_T_MAX = default_t_max()
+# iteration budget ceil(log(200/basin) / log(1/0.98)) = 366
+DEFAULT_T_MAX = math.ceil(math.log(200.0 / _BASIN)
+                          / math.log(1.0 / _CONTRACTION))
+STEP_TOL = 1e-8       # TP stops once dist(w_t, w_{t-1}) is at most this
 
 
 @dataclass(frozen=True)
@@ -51,15 +48,12 @@ class InitConfig:
     s_prime: enlarged sparsity inside the truncated power loop; None means
         min(2 s, n), resolved at call time.
     t_max: iteration budget for the truncated power loop.
-    step_tol: early stop once the sign-invariant step dist(w_t, w_{t-1})
-        falls below this.
     """
 
     l: float = 0.5
     u: float = 10.0
     s_prime: int | None = None
     t_max: int = DEFAULT_T_MAX
-    step_tol: float = 1e-8
 
     def __post_init__(self):
         if not (0 <= self.l < self.u):
@@ -183,11 +177,9 @@ def _degenerate_estimate(e: Ensemble, s: int) -> InitEstimate:
                         j0=None, degenerate=True, iterations_run=0)
 
 
-def _spectral_from_support(e: Ensemble, s: int, cfg: InitConfig,
-                           support: np.ndarray, j0: int | None,
-                           ybar_builder) -> InitEstimate:
-    build = ybar_builder if ybar_builder is not None else restricted_ybar
-    block = build(e, support, cfg.l, cfg.u)
+def _spectral_from_support(e: Ensemble, cfg: InitConfig, support: np.ndarray,
+                           j0: int | None) -> InitEstimate:
+    block = restricted_ybar(e, support, cfg.l, cfg.u)
     eig = top_eigenvector(block)
     x0 = np.zeros(e.n)
     x0[support] = eig.vector
@@ -195,26 +187,23 @@ def _spectral_from_support(e: Ensemble, s: int, cfg: InitConfig,
                         degenerate=eig.degenerate, iterations_run=0)
 
 
-def spectral_init(e: Ensemble, s: int, cfg: InitConfig | None = None, *,
-                  ybar_builder=None) -> InitEstimate:
+def spectral_init(e: Ensemble, s: int,
+                  cfg: InitConfig | None = None) -> InitEstimate:
     """Baseline spectral initializer: support from the diagonal of Y."""
     cfg = cfg or InitConfig()
     if not 1 <= s <= e.n:
         raise ValueError("need 1 <= s <= n")
     if e.nu == 0.0:
         return _degenerate_estimate(e, s)
-    return _spectral_from_support(e, s, cfg, support_diag(e, s), None,
-                                  ybar_builder)
+    return _spectral_from_support(e, cfg, support_diag(e, s), None)
 
 
 def modified_spectral_init(e: Ensemble, s: int, cfg: InitConfig | None = None,
-                           *, anchor: int | None = None,
-                           ybar_builder=None) -> InitEstimate:
+                           *, anchor: int | None = None) -> InitEstimate:
     """Anchored spectral initializer: support from the top entries of |Y e_j0|.
 
     ``anchor`` overrides j0 (used by the multi-restart driver); the default
-    argmax rule breaks ties toward the smaller index. ``ybar_builder`` is a
-    test seam replacing ``restricted_ybar``.
+    argmax rule breaks ties toward the smaller index.
     """
     cfg = cfg or InitConfig()
     if not 1 <= s <= e.n:
@@ -228,7 +217,7 @@ def modified_spectral_init(e: Ensemble, s: int, cfg: InitConfig | None = None,
             raise ValueError("anchor out of range")
         j0 = int(anchor)
         support = top_magnitude_indices(y_column(e, j0), s)
-    return _spectral_from_support(e, s, cfg, support, j0, ybar_builder)
+    return _spectral_from_support(e, cfg, support, j0)
 
 
 def magnitude_misfit(e: Ensemble, xhat) -> float:
@@ -238,46 +227,37 @@ def magnitude_misfit(e: Ensemble, xhat) -> float:
 
 
 def tp_init(e: Ensemble, s: int, cfg: InitConfig | None = None, *,
-            anchor: int | None = None, ybar_builder=None,
-            matvec=None, w0=None) -> InitEstimate:
+            anchor: int | None = None) -> InitEstimate:
     """Truncated power method initializer.
 
     Starts from the modified-spectral direction, runs up to t_max steps of
     w_t = T_s'(Ybar w_{t-1}) with renormalization (stopping early once the
-    sign-invariant step is below cfg.step_tol), then projects back to the
+    sign-invariant step is at most STEP_TOL), then projects back to the
     s-sparse set and rescales to norm nu.
 
     The iterated estimate is kept only if it explains the observations at
     least as well as its own start (phaseless misfit ||y - |A xhat|||_2,
     the same data-residual selection the multi-restart driver applies
     across restarts); at small sample sizes the iteration can drift off
-    support, and the fallback keeps the method no worse than its start.
+    support, and the fallback then returns the modified-spectral estimate
+    itself, with the steps taken in ``iterations_run``.
 
-    ``matvec`` and ``w0`` are test seams for the power loop; ``anchor``
-    and ``ybar_builder`` pass through to the modified-spectral start. A
-    zero iterate falls back to the modified-spectral output, flagged
+    ``anchor`` passes through to the modified-spectral start. A zero
+    iterate falls back to the modified-spectral output, flagged
     degenerate.
     """
     cfg = cfg or InitConfig()
     if not 1 <= s <= e.n:
         raise ValueError("need 1 <= s <= n")
     s_prime = cfg.resolve_s_prime(s, e.n)
-    seed = modified_spectral_init(e, s, cfg, anchor=anchor,
-                                  ybar_builder=ybar_builder)
+    seed = modified_spectral_init(e, s, cfg, anchor=anchor)
     if seed.degenerate:
         return seed
 
-    if w0 is not None:
-        start = np.asarray(w0, dtype=float)
-        start = start / np.linalg.norm(start)
-    else:
-        start = seed.xhat / e.nu
-    mv = matvec if matvec is not None else ybar_matvec
-
-    w = start
+    w = seed.xhat / e.nu
     iterations = 0
     for t in range(1, cfg.t_max + 1):
-        wt = truncate(mv(e, w, cfg.l, cfg.u), s_prime)
+        wt = truncate(ybar_matvec(e, w, cfg.l, cfg.u), s_prime)
         nrm = np.linalg.norm(wt)
         if nrm == 0.0:
             return replace(seed, degenerate=True, iterations_run=t)
@@ -285,22 +265,14 @@ def tp_init(e: Ensemble, s: int, cfg: InitConfig | None = None, *,
         step = dist(w_next, w)
         w = w_next
         iterations = t
-        if step <= cfg.step_tol:
+        if step <= STEP_TOL:
             break
 
     keep = top_magnitude_indices(w, s)
     xs = np.zeros(e.n)
     xs[keep] = w[keep]
-    x0 = xs / np.linalg.norm(xs)
-    xhat = e.nu * x0
-
-    start_keep = top_magnitude_indices(start, s)
-    start_s = np.zeros(e.n)
-    start_s[start_keep] = start[start_keep]
-    start_hat = e.nu * start_s / np.linalg.norm(start_s)
-    if magnitude_misfit(e, xhat) > magnitude_misfit(e, start_hat):
-        return InitEstimate(xhat=start_hat, support=start_keep, j0=seed.j0,
-                            degenerate=False, iterations_run=iterations)
-
+    xhat = e.nu * (xs / np.linalg.norm(xs))
+    if magnitude_misfit(e, xhat) > magnitude_misfit(e, seed.xhat):
+        return replace(seed, iterations_run=iterations)
     return InitEstimate(xhat=xhat, support=keep, j0=seed.j0,
                         degenerate=False, iterations_run=iterations)

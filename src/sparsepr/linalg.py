@@ -96,13 +96,16 @@ def top_eigenvector(matrix: SymMatrix) -> TopEigResult:
                         False, 0)
 
 
-def restricted_least_squares(A, support, b, ridge_scale: float = 1e-12):
+_RIDGE_SCALE = 1e-12
+
+
+def restricted_least_squares(A, support, b):
     """Least squares over the columns of A indexed by ``support``.
 
     Solves min ||A[:, support] z - b||_2 through the normal equations with
     a Cholesky factor of the restricted Gram matrix (|support| is small, so
     the squared conditioning is acceptable). A rank-deficient Gram matrix
-    falls back to a ridge of ``ridge_scale * trace / |support|`` and flags
+    falls back to a ridge of ``1e-12 * trace / |support|`` and flags
     the result.
 
     Returns:
@@ -134,9 +137,9 @@ def restricted_least_squares(A, support, b, ridge_scale: float = 1e-12):
         cho = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
         z = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
     except scipy.linalg.LinAlgError:
-        lam = ridge_scale * float(np.trace(gram)) / support.size
+        lam = _RIDGE_SCALE * float(np.trace(gram)) / support.size
         if lam <= 0.0:
-            lam = ridge_scale
+            lam = _RIDGE_SCALE
         z = np.linalg.solve(gram + lam * np.eye(support.size), rhs)
         ridged = True
 

@@ -25,29 +25,26 @@ from .initializers import top_magnitude_indices
 from .linalg import restricted_least_squares
 from .model import Ensemble, apply_sensing, sgn
 
+# the run stops once the selected support is unchanged for SUPPORT_STALL
+# consecutive steps and the relative residual ||A x - y .* sgn(A x)|| / ||y||
+# is at most RESIDUAL_TOL
+RESIDUAL_TOL = 1e-12
+SUPPORT_STALL = 2
+
 
 @dataclass(frozen=True)
 class HtpConfig:
-    """Step size, iteration cap, and the stopping rule.
-
-    The run stops once the selected support is unchanged for
-    ``support_stall`` consecutive steps and the relative residual
-    ||A x - y .* sgn(A x)|| / ||y|| is at most ``residual_tol``, or after
-    ``max_iters`` steps.
-    """
+    """Step size and iteration cap; the run stops after ``max_iters``
+    steps if the stopping rule has not fired by then."""
 
     mu: float = 0.95
     max_iters: int = 100
-    residual_tol: float = 1e-12
-    support_stall: int = 2
 
     def __post_init__(self):
         if not 0 < self.mu < 2:
             raise ValueError("need 0 < mu < 2")
         if self.max_iters < 1:
             raise ValueError("need at least one iteration")
-        if self.support_stall < 1:
-            raise ValueError("support_stall must be positive")
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,7 @@ def htp_run(e: Ensemble, x0, s: int,
         residuals.append(rel)
         streak = streak + 1 if np.array_equal(support, prev_support) else 1
         prev_support = support
-        if streak >= cfg.support_stall and rel <= cfg.residual_tol:
+        if streak >= SUPPORT_STALL and rel <= RESIDUAL_TOL:
             converged = True
             break
 

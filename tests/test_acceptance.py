@@ -5,8 +5,9 @@ the two Monte Carlo experiments (criteria 4 and 5) dominate the runtime
 (a few minutes at two workers).
 
 The experiment grid seed is 0, committed before the first full run of
-this suite; the repo notes discuss the statistical margins of the
-ordering criterion at desk scale.
+this suite. At desk scale (100 trials per cell) a success rate near 0.5
+has a binomial standard error of 0.05, so criterion 4's ordering slacks
+(0.05 and 0.10) are one and two standard errors.
 """
 
 import math
@@ -117,7 +118,9 @@ def test_criterion_4_desk_scale_experiment(experiment1_rates):
     # and 0.10 of spectral at every m, matching the slack structure); the
     # baseline-vs-baseline margin is reported but not asserted because the
     # anchored rule's single-anchor failure tail sits below plain spectral
-    # at large m -- see the repo notes for the per-seed analysis.
+    # at large m: when argmax Y_jj falls off the support, the column
+    # Y e_j0 carries no signal in expectation and the start is noise,
+    # a single point of failure the diagonal rule does not have.
     rates = experiment1_rates
     ms = sorted({m for _, m in rates})
 

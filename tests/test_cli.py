@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sparsepr as sp
+from sparsepr import harness
 from sparsepr.cli import main
 
 
@@ -103,6 +104,7 @@ class TestGrid:
         {"configs": {"htp": {"max_iters": True}}},
         {"configs": {"init": {"t_max": 1.5}}},
         {"success_threshold": float("nan")},
+        {"configs": {"htp": {"residual_tol": 1e-10}}},
     ])
     def test_mistyped_setting_exits_2(self, tmp_path, extra):
         config = {"n": 16, "s_list": [2], "m_list": [40], "trials": 1,
@@ -114,6 +116,27 @@ class TestGrid:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert len(proc.stderr.splitlines()) == 1
+
+    def test_bad_s_prime_exits_2_before_sampling(self, tmp_path,
+                                                  monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled a cell of an invalid grid")
+
+        monkeypatch.setattr(harness, "sample_signal", no_sampling)
+        config = {"n": 16, "s_list": [2], "m_list": [40], "trials": 1,
+                  "seed": 1, "methods": ["tp"],
+                  "configs": {"init": {"s_prime": 1}}}
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "r.csv"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["grid", "--config", str(cfg_path), "--threads",
+                         "1", "--out", str(out_path)])
+        assert code == 2
+        assert stderr.getvalue().startswith("error:")
+        assert "s_prime" in stderr.getvalue()
+        assert not out_path.exists()
 
     def test_invalid_json_exits_2(self, tmp_path):
         cfg_path = tmp_path / "grid.json"

@@ -68,15 +68,18 @@ class TestRunTrial:
         with pytest.raises(ConfigError):
             sp.run_trial(10, 2, 20, "nope", 0, 1)
 
-    @pytest.mark.parametrize("s,m", [(11, 20), (0, 20), (2, 0)])
-    def test_out_of_range_cell_rejected_before_sampling(self, s, m,
+    @pytest.mark.parametrize("s,m,s_prime", [
+        (11, 20, None), (0, 20, None), (2, 0, None), (2, 20, 1),
+    ], ids=["11-20", "0-20", "2-0", "s_prime-below-s"])
+    def test_out_of_range_cell_rejected_before_sampling(self, s, m, s_prime,
                                                         monkeypatch):
         def no_sampling(*args):
             raise AssertionError("sampled an invalid cell")
 
         monkeypatch.setattr(harness, "sample_signal", no_sampling)
+        configs = sp.SolverConfigs(init=sp.InitConfig(s_prime=s_prime))
         with pytest.raises(ConfigError):
-            sp.run_trial(10, s, m, "tp", 0, 1)
+            sp.run_trial(10, s, m, "tp", 0, 1, configs)
 
 
 class TestSolve:
@@ -303,7 +306,9 @@ class TestGridFromDict:
         {"htp": {"support_stall": "2"}}, {"init": {"l": "0.5"}},
         {"htp": {"mu": math.nan}}, {"init": {"u": math.inf}},
         {"htp": {"residual_tol": False}}, {"init": {"t_max": None}},
-        None, [],
+        None, [], {"init": {"step_tol": 1e-6}},
+        {"htp": {"residual_tol": 1e-10}}, {"htp": {"support_stall": 3}},
+        {"init": {"s_prime": 3}}, {"init": {"s_prime": 65}},
     ])
     def test_bad_configs_section_rejected(self, configs):
         with pytest.raises(ConfigError):

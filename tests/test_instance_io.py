@@ -84,8 +84,9 @@ class TestErrors:
 
     def test_negative_observation(self, tmp_path):
         text = "SPR1 2 1 1\n0 1\n1 0\n-1\n"
-        with pytest.raises(InstanceFormatError):
+        with pytest.raises(InstanceFormatError) as err:
             sp.load_instance(self.write(tmp_path, text))
+        assert err.value.line == 4
 
     def test_zero_signal_not_representable(self, tmp_path):
         text = "SPR1 2 1 0\n0 0\n1 0\n1\n"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sparsepr as sp
+from sparsepr.refine import SUPPORT_STALL
 
 
 def perturbed_start(x, radius_frac, rng):
@@ -56,7 +57,7 @@ class TestHtpRun:
         e = sp.measure(x, 200, rng)
         res = sp.htp_run(e, x.to_dense(), 5)
         assert res.converged
-        assert res.iterations <= sp.HtpConfig().support_stall
+        assert res.iterations <= SUPPORT_STALL
         np.testing.assert_allclose(res.x, x.to_dense(), atol=1e-10)
 
     def test_zero_start_output_contract(self):
@@ -87,7 +88,7 @@ class TestHtpRun:
         hist = res.residual_history
         assert np.all(np.isfinite(hist))
         if res.converged and hist.size >= 2:
-            tail = hist[-sp.HtpConfig().support_stall:]
+            tail = hist[-SUPPORT_STALL:]
             if np.any(np.diff(tail) > 1e-10):
                 warnings.warn("residual rose over the stall window")
 
