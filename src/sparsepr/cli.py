@@ -151,6 +151,7 @@ def _cmd_solve(args) -> int:
         "rel_error": report.rel_error,
         "init_dist": report.init_dist,
         "iterations": report.iterations,
+        "htp_stop": report.htp_stop,
         "chosen_restart": report.chosen_restart,
         "degenerate": report.degenerate,
         "init_elapsed_s": report.init_elapsed,

@@ -123,6 +123,9 @@ class ExperimentGrid:
         unknown = [meth for meth in self.methods if meth not in METHODS]
         if unknown or not self.methods:
             raise ConfigError(f"methods must be a nonempty subset of {METHODS}")
+        if "tp_mr" in self.methods and self.configs.restarts > self.n:
+            raise ConfigError("more restarts than coordinates: "
+                              f"{self.configs.restarts} > n = {self.n}")
 
 
 # thread-count (getter, setter) names of upstream OpenBLAS and of the

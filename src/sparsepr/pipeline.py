@@ -48,7 +48,8 @@ class SolveReport:
     init_dist and rel_error are sign-invariant relative errors against the
     ground truth and are None when no truth was supplied. Elapsed times
     are seconds; for multi-restart runs they are summed over restarts and
-    iterations/init_dist refer to the selected restart.
+    iterations/init_dist/htp_stop refer to the selected restart. htp_stop
+    is why HTP stopped (one of ``refine.STOPS``).
     """
 
     x: np.ndarray
@@ -61,6 +62,7 @@ class SolveReport:
     degenerate: bool
     chosen_restart: int | None = None
     selection_residual: float | None = None
+    htp_stop: str | None = None
 
 
 def gradient_residual(e: Ensemble, x) -> float:
@@ -102,7 +104,7 @@ def solve_two_stage(e: Ensemble, s: int, method: str,
                        rel_error=_relative(refined.x, truth),
                        init_elapsed=init_s, refine_elapsed=refine_s,
                        iterations=refined.iterations,
-                       degenerate=est.degenerate)
+                       degenerate=est.degenerate, htp_stop=refined.stop)
 
 
 def solve_multi_restart(e: Ensemble, s: int,
@@ -143,4 +145,4 @@ def solve_multi_restart(e: Ensemble, s: int,
                        iterations=refined.iterations,
                        degenerate=est.degenerate,
                        chosen_restart=b_min,
-                       selection_residual=score)
+                       selection_residual=score, htp_stop=refined.stop)

@@ -25,11 +25,15 @@ from .initializers import top_magnitude_indices
 from .linalg import restricted_least_squares
 from .model import Ensemble, apply_sensing, sgn
 
-# the run stops once the selected support is unchanged for SUPPORT_STALL
-# consecutive steps and the relative residual ||A x - y .* sgn(A x)|| / ||y||
-# is at most RESIDUAL_TOL
+# the run converges once the selected support is unchanged for
+# SUPPORT_STALL consecutive steps and the relative residual
+# ||A x - y .* sgn(A x)|| / ||y|| is at most RESIDUAL_TOL
 RESIDUAL_TOL = 1e-12
 SUPPORT_STALL = 2
+
+# why htp_run stopped: the convergence rule fired, a step returned its
+# input bit for bit without converging, or max_iters ran out
+STOPS = ("converged", "fixed_point", "cap")
 
 
 @dataclass(frozen=True)
@@ -49,13 +53,15 @@ class HtpConfig:
 
 @dataclass(frozen=True)
 class RefineResult:
-    """Refined s-sparse iterate with convergence diagnostics."""
+    """Refined s-sparse iterate with convergence diagnostics; ``stop`` is
+    one of STOPS."""
 
     x: np.ndarray
     iterations: int
     converged: bool
     final_residual: float
     residual_history: np.ndarray
+    stop: str
 
 
 def htp_step(e: Ensemble, x_k, s: int,
@@ -75,7 +81,15 @@ def htp_step(e: Ensemble, x_k, s: int,
 
 def htp_run(e: Ensemble, x0, s: int,
             cfg: HtpConfig | None = None) -> RefineResult:
-    """Run HTP from x0 until the stopping rule fires or max_iters is hit."""
+    """Run HTP from x0 until it converges, reaches a fixed point or hits
+    max_iters.
+
+    HTP is a deterministic map of the iterate, so once a step returns its
+    input bit for bit every later step would return it again, with the
+    same support and residual. The run stops there with the x, residual
+    and convergence verdict that running on to the cap would give; only
+    the step count and the residual history are shorter.
+    """
     cfg = cfg or HtpConfig()
     x = np.asarray(x0, dtype=float).copy()
     if np.count_nonzero(x) > s:
@@ -85,9 +99,11 @@ def htp_run(e: Ensemble, x0, s: int,
     residuals = []
     streak = 0
     converged = False
+    stop = "cap"
     iterations = 0
 
     for _ in range(cfg.max_iters):
+        x_prev = x
         x, support = htp_step(e, x, s, cfg)
         iterations += 1
         z = apply_sensing(e, x)
@@ -98,9 +114,16 @@ def htp_run(e: Ensemble, x0, s: int,
         prev_support = support
         if streak >= SUPPORT_STALL and rel <= RESIDUAL_TOL:
             converged = True
+            stop = "converged"
+            break
+        # the next step would repeat this support, so the rule above then
+        # decides on rel alone; at the cap there is no next step
+        if iterations < cfg.max_iters and x.tobytes() == x_prev.tobytes():
+            converged = rel <= RESIDUAL_TOL
+            stop = "converged" if converged else "fixed_point"
             break
 
     final = residuals[-1] if residuals else 0.0
     return RefineResult(x=x, iterations=iterations, converged=converged,
                         final_residual=final,
-                        residual_history=np.asarray(residuals))
+                        residual_history=np.asarray(residuals), stop=stop)

@@ -138,6 +138,27 @@ class TestGrid:
         assert "s_prime" in stderr.getvalue()
         assert not out_path.exists()
 
+    def test_more_restarts_than_coordinates_exits_2_before_sampling(
+            self, tmp_path, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled a cell of an invalid grid")
+
+        monkeypatch.setattr(harness, "sample_signal", no_sampling)
+        config = {"n": 16, "s_list": [2], "m_list": [40], "trials": 1,
+                  "seed": 1, "methods": ["tp", "tp_mr"],
+                  "configs": {"restarts": 20}}
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "r.csv"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["grid", "--config", str(cfg_path), "--threads",
+                         "1", "--out", str(out_path)])
+        assert code == 2
+        assert stderr.getvalue().startswith("error:")
+        assert "restarts" in stderr.getvalue()
+        assert not out_path.exists()
+
     def test_invalid_json_exits_2(self, tmp_path):
         cfg_path = tmp_path / "grid.json"
         cfg_path.write_text("{not json")
@@ -175,6 +196,20 @@ class TestSolve:
         report = json.loads(out.getvalue().splitlines()[1])
         assert report["method"] == "tp_mr"
         assert 1 <= report["chosen_restart"] <= 20
+
+    @pytest.mark.parametrize("method", ["tp", "tpmr"])
+    def test_reports_why_htp_stopped(self, tmp_path, method):
+        rng = sp.trial_rng(41)
+        x = sp.sample_signal(64, 4, rng)
+        path = tmp_path / "inst.spr1"
+        sp.save_instance(path, x, sp.measure(x, 300, rng))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["solve", "--instance", str(path), "--s", "4",
+                         "--method", method])
+        assert code == 0
+        report = json.loads(out.getvalue().splitlines()[1])
+        assert report["htp_stop"] == "converged"
 
     def test_malformed_instance_exits_2(self, tmp_path):
         path = tmp_path / "bad.spr1"

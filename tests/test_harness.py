@@ -81,6 +81,21 @@ class TestRunTrial:
         with pytest.raises(ConfigError):
             sp.run_trial(10, s, m, "tp", 0, 1, configs)
 
+    def test_more_restarts_than_coordinates_rejected_before_sampling(
+            self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled an invalid cell")
+
+        monkeypatch.setattr(harness, "sample_signal", no_sampling)
+        with pytest.raises(ConfigError, match="restarts"):
+            sp.run_trial(10, 2, 20, "tp_mr", 0, 1,
+                         sp.SolverConfigs(restarts=11))
+
+    def test_restarts_bind_tp_mr_only(self):
+        rec = sp.run_trial(10, 2, 20, "tp", 0, 1,
+                           sp.SolverConfigs(restarts=11), record_timing=False)
+        assert rec.chosen_restart is None
+
 
 class TestSolve:
     def test_unknown_method(self):
@@ -164,6 +179,25 @@ class TestRunGrid:
                    if r.method == "tp" and r.m == 60 and r.trial_index == 2)
         alone = sp.run_trial(32, 3, 60, "tp", 2, 77, record_timing=False)
         assert rec == alone
+
+    def test_more_restarts_than_coordinates_rejected_before_sampling(
+            self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled a cell of an invalid grid")
+
+        monkeypatch.setattr(harness, "sample_signal", no_sampling)
+        with pytest.raises(ConfigError, match="restarts"):
+            run_grid(sp.ExperimentGrid(
+                n=16, s_list=(2,), m_list=(40,), trials=1, seed=1,
+                methods=("tp", "tp_mr"),
+                configs=sp.SolverConfigs(restarts=17)))
+
+    def test_restarts_up_to_n_accepted(self):
+        grid = sp.ExperimentGrid(n=16, s_list=(2,), m_list=(40,), trials=1,
+                                 seed=1, methods=("tp_mr",),
+                                 configs=sp.SolverConfigs(restarts=16))
+        records = run_grid(grid, record_timing=False).records
+        assert 1 <= records[0].chosen_restart <= 16
 
     def test_invalid_parallelism(self, small_grid):
         with pytest.raises(ConfigError):

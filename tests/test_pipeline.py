@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sparsepr as sp
+from sparsepr import pipeline
 from sparsepr.initializers import y_diag
 
 
@@ -89,6 +90,29 @@ class TestSolveMultiRestart:
         r2 = sp.solve_multi_restart(e, x.s, sp.SolverConfigs(restarts=3))
         assert np.array_equal(r1.x, r2.x)
         assert r1.chosen_restart == r2.chosen_restart
+
+    def test_fixed_point_exit_keeps_the_winner(self, monkeypatch,
+                                               htp_reference):
+        # an undersampled instance where most restarts end at a fixed point
+        rng = sp.trial_rng(sp.derive_trial_seed(5, 200, 20, 100, 0))
+        x = sp.sample_signal(200, 20, rng)
+        e = sp.measure(x, 100, rng)
+        cfg = sp.SolverConfigs(restarts=6)
+        fast = sp.solve_multi_restart(e, 20, cfg, truth=x.to_dense())
+        monkeypatch.setattr(pipeline, "htp_run", htp_reference)
+        slow = sp.solve_multi_restart(e, 20, cfg, truth=x.to_dense())
+        assert fast.x.tobytes() == slow.x.tobytes()
+        assert fast.chosen_restart == slow.chosen_restart
+        assert fast.selection_residual == slow.selection_residual
+        assert fast.iterations < slow.iterations
+        assert fast.htp_stop == "fixed_point"
+
+    def test_reports_why_the_chosen_run_stopped(self, solved_instance):
+        x, e = solved_instance
+        rep = sp.solve_multi_restart(e, x.s, sp.SolverConfigs(restarts=3))
+        assert rep.htp_stop == "converged"
+        two = sp.solve_two_stage(e, x.s, "tp")
+        assert two.htp_stop == "converged"
 
 
 class TestGradientResidual:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sparsepr as sp
+from sparsepr import refine
 from sparsepr.refine import SUPPORT_STALL
 
 
@@ -110,6 +111,95 @@ class TestHtpRun:
         for _ in range(10):
             state, _ = sp.htp_step(e, state, 3)
             assert np.count_nonzero(state) <= 3
+
+
+# (n, s, m, trial, start): small undersampled cells, where many runs end
+# at a fixed point or in a cycle far from the truth, plus easy ones
+FIXED_POINT_CASES = [(n, s, m, t, start)
+                     for n, s, m in [(100, 10, 60), (200, 20, 100),
+                                     (200, 10, 100), (200, 20, 200)]
+                     for t in range(4)
+                     for start in ("zero", "spectral")]
+
+
+def _case(n, s, m, t, start):
+    rng = sp.trial_rng(sp.derive_trial_seed(5, n, s, m, t))
+    x = sp.sample_signal(n, s, rng)
+    e = sp.measure(x, m, rng)
+    x0 = np.zeros(n) if start == "zero" else sp.spectral_init(e, s).xhat
+    return e, x0
+
+
+class TestFixedPointExit:
+    @pytest.mark.parametrize("max_iters", [3, 8, 100])
+    def test_same_estimate_as_running_to_the_cap(self, max_iters,
+                                                 htp_reference):
+        cfg = sp.HtpConfig(max_iters=max_iters)
+        shortened = 0
+        for n, s, m, t, start in FIXED_POINT_CASES:
+            e, x0 = _case(n, s, m, t, start)
+            res = sp.htp_run(e, x0, s, cfg)
+            ref = htp_reference(e, x0, s, cfg)
+            assert res.x.tobytes() == ref.x.tobytes()
+            assert res.final_residual == ref.final_residual
+            assert res.converged == ref.converged
+            assert res.iterations <= ref.iterations
+            np.testing.assert_array_equal(
+                res.residual_history, ref.residual_history[:res.iterations])
+            assert res.stop in refine.STOPS
+            assert (res.stop == "converged") == res.converged
+            if res.stop == "cap":
+                assert res.iterations == max_iters
+            shortened += res.iterations < ref.iterations
+        if max_iters == 100:
+            assert shortened >= len(FIXED_POINT_CASES) // 2
+
+    def test_identity_step_stops_after_one_step(self, monkeypatch):
+        rng = sp.trial_rng(80)
+        x = sp.sample_signal(30, 3, rng)
+        e = sp.measure(x, 60, rng)
+        x0 = perturbed_start(x, 0.5, rng)
+        monkeypatch.setattr(refine, "htp_step",
+                            lambda e, x, s, cfg=None: (x, np.flatnonzero(x)))
+        res = sp.htp_run(e, x0, 3)
+        assert res.stop == "fixed_point"
+        assert res.iterations == 1
+        assert not res.converged
+        assert res.x.tobytes() == x0.tobytes()
+
+    @pytest.mark.parametrize("max_iters,stop,converged", [
+        (100, "converged", True),
+        (1, "cap", False),  # no step left: the stall rule never fired
+    ])
+    def test_identity_step_at_a_solution(self, max_iters, stop, converged,
+                                         monkeypatch, htp_reference):
+        rng = sp.trial_rng(81)
+        x = sp.sample_signal(30, 3, rng)
+        e = sp.measure(x, 60, rng)
+        monkeypatch.setattr(refine, "htp_step",
+                            lambda e, x, s, cfg=None: (x, np.flatnonzero(x)))
+        cfg = sp.HtpConfig(max_iters=max_iters)
+        res = sp.htp_run(e, x.to_dense(), 3, cfg)
+        ref = htp_reference(e, x.to_dense(), 3, cfg)
+        assert res.final_residual <= refine.RESIDUAL_TOL
+        assert (res.stop, res.iterations) == (stop, 1)
+        assert res.converged == ref.converged == converged
+
+    def test_never_repeating_step_runs_to_the_cap(self, monkeypatch):
+        rng = sp.trial_rng(82)
+        x = sp.sample_signal(30, 3, rng)
+        e = sp.measure(x, 60, rng)
+
+        def drifting(e, x_k, s, cfg=None):
+            x_next = np.array(x_k, dtype=float)
+            x_next[0] += 1.0
+            return x_next, np.array([0])
+
+        monkeypatch.setattr(refine, "htp_step", drifting)
+        res = sp.htp_run(e, np.zeros(30), 3, sp.HtpConfig(max_iters=7))
+        assert res.stop == "cap"
+        assert res.iterations == 7
+        assert not res.converged
 
 
 class TestHtpConfig:
