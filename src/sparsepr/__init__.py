@@ -15,7 +15,7 @@ from .initializers import (InitConfig, InitEstimate, modified_spectral_init,
                            support_j0, tp_init, truncate, y_column, y_diag,
                            ybar_matvec)
 from .instance_io import InstanceFormatError, load_instance, save_instance
-from .linalg import SymMatrix, restricted_least_squares, top_eigenvector
+from .linalg import restricted_least_squares, top_eigenvector
 from .model import (Ensemble, SparseSignal, TruncationMoments, dist, measure,
                     norm_estimate, relative_error, sample_signal,
                     truncated_gaussian_moment)
@@ -29,7 +29,7 @@ __all__ = [
     "CellSummary", "Ensemble", "ExperimentGrid", "GridResult", "HtpConfig",
     "InitConfig", "InitEstimate", "InstanceFormatError", "METHODS",
     "RefineResult", "SolveReport", "SolverConfigs", "SparseSignal",
-    "SymMatrix", "TrialRecord", "TruncationMoments",
+    "TrialRecord", "TruncationMoments",
     "aggregate", "derive_trial_seed", "dist", "emit_csv",
     "gradient_residual", "htp_run", "htp_step", "load_instance", "measure",
     "modified_spectral_init", "norm_estimate", "parse_csv", "relative_error",

@@ -75,24 +75,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_configs(args):
+    # only the flags the user set reach the settings objects, whose field
+    # names are the flag dests; the rest keep the dataclass defaults
+    from dataclasses import fields
+
     from .harness import SolverConfigs
     from .initializers import InitConfig
     from .refine import HtpConfig
 
-    init_kwargs = {}
-    for flag, name in (("l", "l"), ("u", "u"), ("s_prime", "s_prime"),
-                       ("t_max", "t_max")):
-        value = getattr(args, flag)
-        if value is not None:
-            init_kwargs[name] = value
-    htp_kwargs = {}
-    if args.mu is not None:
-        htp_kwargs["mu"] = args.mu
-    if args.max_iters is not None:
-        htp_kwargs["max_iters"] = args.max_iters
-    restarts = args.b if args.b is not None else 20
-    return SolverConfigs(init=InitConfig(**init_kwargs),
-                         htp=HtpConfig(**htp_kwargs), restarts=restarts)
+    def given(cls):
+        return {f.name: getattr(args, f.name) for f in fields(cls)
+                if getattr(args, f.name) is not None}
+
+    restarts = {} if args.b is None else {"restarts": args.b}
+    return SolverConfigs(init=InitConfig(**given(InitConfig)),
+                         htp=HtpConfig(**given(HtpConfig)), **restarts)
 
 
 def _cmd_trial(args) -> int:

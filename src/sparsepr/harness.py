@@ -28,16 +28,13 @@ import time
 import numpy as np
 
 from .initializers import InitConfig
-from .model import Ensemble, measure, sample_signal
+from .model import (ConfigError, Ensemble, _integer, _real, measure,
+                    sample_signal)
 from .pipeline import (METHODS, SolveReport, SolverConfigs,
                        solve_multi_restart, solve_two_stage)
 from .refine import HtpConfig
 
 _MASK64 = (1 << 64) - 1
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration (maps to CLI exit code 2)."""
 
 
 def splitmix64(z: int) -> int:
@@ -90,7 +87,12 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """A (method, s, m, trial) product driving ``run_grid``."""
+    """A (method, s, m, trial) product driving ``run_grid``.
+
+    Checked when built: n, trials, seed and every s and m are integers
+    (integral floats become ints), success_threshold is a finite number,
+    and a value out of range raises ConfigError.
+    """
 
     n: int
     s_list: tuple[int, ...]
@@ -102,23 +104,25 @@ class ExperimentGrid:
     configs: SolverConfigs = field(default_factory=SolverConfigs)
 
     def __post_init__(self):
-        object.__setattr__(self, "s_list", tuple(int(v) for v in self.s_list))
-        object.__setattr__(self, "m_list", tuple(int(v) for v in self.m_list))
+        for name in ("n", "trials", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("s_list", "m_list"):
+            object.__setattr__(self, name, tuple(
+                _integer(v, f"{name} item") for v in getattr(self, name)))
+        object.__setattr__(self, "success_threshold", _real(
+            self.success_threshold, "success_threshold"))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.n < 1 or not self.s_list or not self.m_list:
             raise ConfigError("grid needs n >= 1 and nonempty s/m lists")
         if any(not 1 <= s <= self.n for s in self.s_list):
             raise ConfigError("every s must satisfy 1 <= s <= n")
-        try:
-            for s in self.s_list:
-                self.configs.init.resolve_s_prime(s, self.n)
-        except ValueError as exc:
-            raise ConfigError(f"bad init settings: {exc}") from None
+        for s in self.s_list:
+            self.configs.init.resolve_s_prime(s, self.n)
         if any(m < 1 for m in self.m_list):
             raise ConfigError("every m must be positive")
         if self.trials < 1:
             raise ConfigError("need at least one trial")
-        if not self.success_threshold > 0:  # NaN included
+        if not self.success_threshold > 0:
             raise ConfigError("success threshold must be positive")
         unknown = [meth for meth in self.methods if meth not in METHODS]
         if unknown or not self.methods:
@@ -195,7 +199,7 @@ def solve(e: Ensemble, s: int, method: str,
 
 def run_trial(n: int, s: int, m: int, method: str, trial_index: int,
               grid_seed: int, configs: SolverConfigs | None = None, *,
-              success_threshold: float = 1e-3,
+              success_threshold: float = ExperimentGrid.success_threshold,
               record_timing: bool = True) -> TrialRecord:
     """Sample one instance from the derived seed, solve it, record it.
 
@@ -203,14 +207,17 @@ def run_trial(n: int, s: int, m: int, method: str, trial_index: int,
     (pass record_timing=False for byte-identical reruns), equal to the
     matching ``run_grid`` record: both run BLAS on one thread. Degenerate
     solves are recorded (rel_error = 1 for a zero estimate), never raised.
-    Arguments a grid would refuse raise ConfigError before any sampling.
+    Arguments a grid would refuse raise ConfigError before any sampling;
+    the trial solves the grid's checked cell.
     """
     grid = ExperimentGrid(n=n, s_list=(s,), m_list=(m,), trials=1,
                           seed=grid_seed, methods=(method,),
                           success_threshold=success_threshold,
                           configs=configs or SolverConfigs())
+    task = (grid, record_timing, grid.s_list[0], grid.m_list[0],
+            _integer(trial_index, "trial_index"))
     with _single_blas_thread():
-        return _cell_task((grid, record_timing, s, m, trial_index))[0]
+        return _cell_task(task)[0]
 
 
 def _cell_task(args):
@@ -385,46 +392,16 @@ def parse_csv(text: str) -> list[TrialRecord]:
     return records
 
 
-def _coerce_section(cls, data, name):
+def _keys(cls, data, name: str) -> dict:
+    # a JSON object whose keys all name fields of cls; only these keys are
+    # passed on, so absent fields keep the dataclass defaults, and cls
+    # checks the values itself
     if not isinstance(data, dict):
         raise ConfigError(f"{name} must be an object")
-    kinds = {f.name: f.type for f in fields(cls)}  # annotation strings
-    values = {}
-    for key, value in data.items():
-        kind = kinds.get(key, "")  # an unknown key makes cls() raise
-        if value is None and kind.endswith("None"):
-            values[key] = None
-        elif kind.startswith("int"):
-            values[key] = _integer(value, f"{name}.{key}")
-        elif kind == "float":
-            values[key] = _real(value, f"{name}.{key}")
-        else:
-            values[key] = value
-    try:
-        return cls(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {name} settings: {exc}") from None
-
-
-def _integer(value, name: str) -> int:
-    # JSON numbers only: a bool, a string or a fractional value is refused
-    # rather than truncated
-    if isinstance(value, bool) or not (
-            isinstance(value, int)
-            or (isinstance(value, float) and value.is_integer())):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value, name: str) -> float:
-    # a finite JSON number: a bool, a string, NaN or an infinity is refused
-    try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or an int past 1e308
-        finite = False
-    if not finite:
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return dict(data)
 
 
 def _list(data: dict, key: str) -> list:
@@ -438,45 +415,21 @@ def grid_from_dict(data: dict) -> ExperimentGrid:
     """Build an ExperimentGrid from config-JSON content.
 
     Top-level keys mirror the ExperimentGrid fields (snake_case); the
-    optional "configs" object takes "init", "htp" (field overrides) and
-    "restarts" (an integer). n, trials, seed, restarts, the s/m list
-    items and the integer init/htp fields must be integers, and
-    success_threshold and the real init/htp fields finite numbers;
-    s_list, m_list and methods must be lists.
+    optional "configs" object mirrors SolverConfigs, with "init" and
+    "htp" objects of InitConfig and HtpConfig fields. s_list, m_list and
+    methods must be lists. Every value is checked by the dataclass that
+    holds it, as it is for Python callers.
     """
-    if not isinstance(data, dict):
-        raise ConfigError("grid config must be a JSON object")
-    allowed = {"n", "s_list", "m_list", "trials", "seed", "methods",
-               "success_threshold", "configs"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = {"n", "s_list", "m_list", "trials", "seed", "methods"} - set(data)
+    grid = _keys(ExperimentGrid, data, "grid config")
+    missing = {"n", "s_list", "m_list", "trials", "seed", "methods"} - set(grid)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-
-    raw = data.get("configs", {})
-    if not isinstance(raw, dict):
-        raise ConfigError("configs must be an object")
-    extra = set(raw) - {"init", "htp", "restarts"}
-    if extra:
-        raise ConfigError(f"unknown configs keys: {sorted(extra)}")
-    init = _coerce_section(InitConfig, raw.get("init", {}), "init")
-    htp = _coerce_section(HtpConfig, raw.get("htp", {}), "htp")
-    restarts = _integer(raw.get("restarts", 20), "restarts")
-
-    s_list = tuple(_integer(v, "s_list item") for v in _list(data, "s_list"))
-    m_list = tuple(_integer(v, "m_list item") for v in _list(data, "m_list"))
-    try:
-        return ExperimentGrid(
-            n=_integer(data["n"], "n"), s_list=s_list, m_list=m_list,
-            trials=_integer(data["trials"], "trials"),
-            seed=_integer(data["seed"], "seed"),
-            methods=tuple(_list(data, "methods")),
-            success_threshold=_real(data.get("success_threshold", 1e-3),
-                                    "success_threshold"),
-            configs=SolverConfigs(init=init, htp=htp, restarts=restarts))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad grid config: {exc}") from None
+    for key in ("s_list", "m_list", "methods"):
+        grid[key] = tuple(_list(grid, key))
+    if "configs" in grid:
+        configs = _keys(SolverConfigs, grid["configs"], "configs")
+        for key, cls in (("init", InitConfig), ("htp", HtpConfig)):
+            if key in configs:
+                configs[key] = cls(**_keys(cls, configs[key], key))
+        grid["configs"] = SolverConfigs(**configs)
+    return ExperimentGrid(**grid)

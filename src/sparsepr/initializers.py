@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import SymMatrix, top_eigenvector
-from .model import Ensemble, apply_sensing, dist
+from .linalg import top_eigenvector
+from .model import ConfigError, Ensemble, _integer, _real, apply_sensing, dist
 
 _CONTRACTION = 0.98   # per-iteration factor the default budget assumes
 _BASIN = 0.125        # refinement basin radius the budget targets
@@ -42,12 +42,13 @@ STEP_TOL = 1e-8       # TP stops once dist(w_t, w_{t-1}) is at most this
 
 @dataclass(frozen=True)
 class InitConfig:
-    """Initializer parameters.
+    """Initializer parameters, checked when built (ConfigError).
 
-    l, u: truncation band in units of nu (worked constants 0.5 and 10).
-    s_prime: enlarged sparsity inside the truncated power loop; None means
-        min(2 s, n), resolved at call time.
-    t_max: iteration budget for the truncated power loop.
+    l, u: truncation band in units of nu (worked constants 0.5 and 10),
+        finite with 0 <= l < u.
+    s_prime: enlarged sparsity inside the truncated power loop, an integer;
+        None means min(2 s, n), resolved at call time.
+    t_max: iteration budget for the truncated power loop, an integer >= 0.
     """
 
     l: float = 0.5
@@ -56,15 +57,21 @@ class InitConfig:
     t_max: int = DEFAULT_T_MAX
 
     def __post_init__(self):
+        object.__setattr__(self, "l", _real(self.l, "l"))
+        object.__setattr__(self, "u", _real(self.u, "u"))
+        if self.s_prime is not None:
+            object.__setattr__(self, "s_prime",
+                               _integer(self.s_prime, "s_prime"))
+        object.__setattr__(self, "t_max", _integer(self.t_max, "t_max"))
         if not (0 <= self.l < self.u):
-            raise ValueError("need 0 <= l < u")
+            raise ConfigError("need 0 <= l < u")
         if self.t_max < 0:
-            raise ValueError("t_max must be nonnegative")
+            raise ConfigError("t_max must be nonnegative")
 
     def resolve_s_prime(self, s: int, n: int) -> int:
         sp = self.s_prime if self.s_prime is not None else min(2 * s, n)
         if not s <= sp <= n:
-            raise ValueError("need s <= s_prime <= n")
+            raise ConfigError("need s <= s_prime <= n")
         return sp
 
 
@@ -159,15 +166,18 @@ def ybar_matvec(e: Ensemble, w, l: float, u: float) -> np.ndarray:
     return e.A.T @ (weights * apply_sensing(e, w)) / e.m
 
 
-def restricted_ybar(e: Ensemble, support, l: float, u: float) -> SymMatrix:
-    """The |S| x |S| principal block of Ybar, assembled in O(m |S|^2)."""
+def restricted_ybar(e: Ensemble, support, l: float, u: float) -> np.ndarray:
+    """The |S| x |S| principal block of Ybar, assembled in O(m |S|^2).
+
+    Symmetric only up to roundoff; ``top_eigenvector`` averages it with
+    its transpose.
+    """
     support = np.asarray(support, dtype=np.intp)
     if support.size < 1:
         raise ValueError("support must be nonempty")
     weights = truncation_weights(e, l, u)
     As = e.A[:, support]
-    block = (As * weights[:, None]).T @ As / e.m
-    return SymMatrix(block)
+    return (As * weights[:, None]).T @ As / e.m
 
 
 def _degenerate_estimate(e: Ensemble, s: int) -> InitEstimate:

@@ -15,36 +15,6 @@ import numpy as np
 import scipy.linalg
 
 
-class SymMatrix:
-    """Small dense symmetric matrix; the constructor symmetrizes by averaging.
-
-    Attributes:
-        order: matrix dimension (>= 1).
-        entries: (order, order) float array, exactly symmetric as stored
-            and read-only.
-    """
-
-    __slots__ = ("order", "entries")
-
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("SymMatrix requires a square 2-d array")
-        if a.shape[0] < 1:
-            raise ValueError("SymMatrix order must be at least 1")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("SymMatrix entries must be finite")
-        # (a[i,j] + a[j,i]) / 2 is computed identically at both positions,
-        # so the stored matrix is symmetric to the last bit.
-        sym = 0.5 * (a + a.T)
-        sym.flags.writeable = False
-        self.order = int(a.shape[0])
-        self.entries = sym
-
-    def __repr__(self):
-        return f"SymMatrix(order={self.order})"
-
-
 @dataclass(frozen=True)
 class TopEigResult:
     """Dominant eigenpair and its flags.
@@ -69,8 +39,9 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def top_eigenvector(matrix: SymMatrix) -> TopEigResult:
-    """Top (largest algebraic) eigenpair of a symmetric matrix.
+def top_eigenvector(matrix) -> TopEigResult:
+    """Top (largest algebraic) eigenpair of a finite square matrix, taken
+    as symmetric: the solve runs on 0.5 * (M + M^T).
 
     One LAPACK call (``scipy.linalg.eigh`` restricted to the last index)
     computes the pair directly, so there are no power steps: the result
@@ -78,12 +49,22 @@ def top_eigenvector(matrix: SymMatrix) -> TopEigResult:
     failure raises ``LinAlgError``. The returned vector has unit length
     and a nonnegative first nonzero component.
 
-    A zero matrix yields (e_0, 0.0) with ``degenerate=True``.
+    A zero matrix yields (e_0, 0.0) with ``degenerate=True``. A matrix
+    that is not 2-d and square, has order 0 or holds a non-finite entry
+    raises ValueError.
     """
-    if not isinstance(matrix, SymMatrix):
-        matrix = SymMatrix(matrix)
-    M = matrix.entries
-    k = matrix.order
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("need a square 2-d matrix")
+    k = a.shape[0]
+    if k < 1:
+        raise ValueError("matrix order must be at least 1")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    # eigh reads one triangle, and an assembled block is symmetric only up
+    # to roundoff; (a[i,j] + a[j,i]) / 2 is computed identically at both
+    # positions, so M is symmetric to the last bit
+    M = 0.5 * (a + a.T)
 
     if not M.any():
         v = np.zeros(k)

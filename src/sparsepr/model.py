@@ -13,9 +13,35 @@ other implementations is not promised.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """Invalid experiment configuration (maps to CLI exit code 2)."""
+
+
+def _integer(value, name: str) -> int:
+    # an integer, or a float with an integral value: a bool, a string or a
+    # fractional value is refused rather than truncated
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or (isinstance(value, float) and value.is_integer())):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    # a finite number: a bool, a string, NaN or an infinity is refused
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past 1e308
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .initializers import (InitConfig, modified_spectral_init, spectral_init,
                            tp_init, y_diag)
-from .model import Ensemble, apply_sensing, relative_error, sgn
+from .model import (ConfigError, Ensemble, _integer, apply_sensing,
+                    relative_error, sgn)
 from .refine import HtpConfig, htp_run
 
 METHODS = ("spectral", "modified_spectral", "tp", "tp_mr")
@@ -30,15 +31,18 @@ _INITIALIZERS = {
 
 @dataclass(frozen=True)
 class SolverConfigs:
-    """Initializer and HTP settings plus the restart count b of tp_mr."""
+    """Initializer and HTP settings plus the restart count b of tp_mr (an
+    integer >= 1, checked when built)."""
 
     init: InitConfig = field(default_factory=InitConfig)
     htp: HtpConfig = field(default_factory=HtpConfig)
     restarts: int = 20
 
     def __post_init__(self):
+        object.__setattr__(self, "restarts",
+                           _integer(self.restarts, "restarts"))
         if self.restarts < 1:
-            raise ValueError("need at least one restart")
+            raise ConfigError("need at least one restart")
 
 
 @dataclass(frozen=True)

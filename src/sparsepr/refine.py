@@ -23,7 +23,7 @@ import numpy as np
 
 from .initializers import top_magnitude_indices
 from .linalg import restricted_least_squares
-from .model import Ensemble, apply_sensing, sgn
+from .model import ConfigError, Ensemble, _integer, _real, apply_sensing, sgn
 
 # the run converges once the selected support is unchanged for
 # SUPPORT_STALL consecutive steps and the relative residual
@@ -38,17 +38,21 @@ STOPS = ("converged", "fixed_point", "cap")
 
 @dataclass(frozen=True)
 class HtpConfig:
-    """Step size and iteration cap; the run stops after ``max_iters``
+    """Step size (finite, 0 < mu < 2) and iteration cap (an integer >= 1),
+    checked when built (ConfigError); the run stops after ``max_iters``
     steps if the stopping rule has not fired by then."""
 
     mu: float = 0.95
     max_iters: int = 100
 
     def __post_init__(self):
+        object.__setattr__(self, "mu", _real(self.mu, "mu"))
+        object.__setattr__(self, "max_iters",
+                           _integer(self.max_iters, "max_iters"))
         if not 0 < self.mu < 2:
-            raise ValueError("need 0 < mu < 2")
+            raise ConfigError("need 0 < mu < 2")
         if self.max_iters < 1:
-            raise ValueError("need at least one iteration")
+            raise ConfigError("need at least one iteration")
 
 
 @dataclass(frozen=True)

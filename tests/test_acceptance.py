@@ -105,7 +105,7 @@ def test_criterion_3_matrix_free_against_dense(dense_ybar):
         worst = max(worst, float(np.max(np.abs(
             sp.ybar_matvec(e, w, 0.5, 10.0) - dense @ w))))
         S = np.sort(g.choice(n, size=min(3, n), replace=False))
-        block = sp.restricted_ybar(e, S, 0.5, 10.0).entries
+        block = sp.restricted_ybar(e, S, 0.5, 10.0)
         worst = max(worst, float(np.max(np.abs(
             block - dense[np.ix_(S, S)]))))
     ok = worst <= 1e-12

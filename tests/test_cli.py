@@ -63,6 +63,21 @@ class TestTrial:
         proc = run_cli(["trial", "--n", "10"])
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("flags", [["--u", "inf"], ["--mu", "nan"],
+                                       ["--s-prime", "1"]])
+    def test_refused_setting_exits_2_before_sampling(self, flags,
+                                                     monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled with a refused setting")
+
+        monkeypatch.setattr(harness, "sample_signal", no_sampling)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["trial", "--n", "16", "--s", "2", "--m", "40",
+                         "--method", "tp", "--seed", "1", *flags])
+        assert code == 2
+        assert stderr.getvalue().startswith("error:")
+
 
 class TestGrid:
     def test_writes_csv_and_summary(self, tmp_path):

@@ -97,6 +97,68 @@ class TestRunTrial:
         assert rec.chosen_restart is None
 
 
+    def test_integral_float_cell_is_the_integer_cell(self):
+        assert sp.run_trial(64, 2.0, 100.0, "tp", 0, 3,
+                            record_timing=False) == \
+            sp.run_trial(64, 2, 100, "tp", 0, 3, record_timing=False)
+
+    @pytest.mark.parametrize("s,m,trial_index", [
+        (2.5, 100, 0), (2, 100.5, 0), (True, 100, 0), (2, 100, 0.5),
+    ])
+    def test_fractional_cell_rejected_before_sampling(self, s, m,
+                                                      trial_index,
+                                                      monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled an invalid cell")
+
+        monkeypatch.setattr(harness, "sample_signal", no_sampling)
+        with pytest.raises(ConfigError):
+            sp.run_trial(64, s, m, "tp", trial_index, 3)
+
+
+class TestSettingsCheckThemselves:
+    """Each settings dataclass refuses a mistyped field when built, so
+    Python, grid JSON and the CLI refuse the same values."""
+
+    @pytest.mark.parametrize("build,field", [
+        (lambda: sp.InitConfig(t_max=1.5), "t_max"),
+        (lambda: sp.InitConfig(s_prime=6.5), "s_prime"),
+        (lambda: sp.InitConfig(l=False), "l"),
+        (lambda: sp.InitConfig(u=math.inf), "u"),
+        (lambda: sp.InitConfig(t_max=None), "t_max"),
+        (lambda: sp.HtpConfig(max_iters=True), "max_iters"),
+        (lambda: sp.HtpConfig(max_iters=2.5), "max_iters"),
+        (lambda: sp.HtpConfig(mu="0.5"), "mu"),
+        (lambda: sp.SolverConfigs(restarts=2.5), "restarts"),
+        (lambda: sp.ExperimentGrid(n=10, s_list=(2.7,), m_list=(20,),
+                                   trials=1, seed=0, methods=("tp",)),
+         "s_list"),
+        (lambda: sp.ExperimentGrid(n=10, s_list=(2,), m_list=(20,),
+                                   trials=1.5, seed=0, methods=("tp",)),
+         "trials"),
+        (lambda: sp.ExperimentGrid(n=10, s_list=(2,), m_list=(20,),
+                                   trials=1, seed=0, methods=("tp",),
+                                   success_threshold=math.inf),
+         "success_threshold"),
+    ], ids=["t_max-1.5", "s_prime-6.5", "l-False", "u-inf", "t_max-None",
+            "max_iters-True", "max_iters-2.5", "mu-str", "restarts-2.5",
+            "s_list-2.7", "trials-1.5", "threshold-inf"])
+    def test_mistyped_field_refused_by_name(self, build, field):
+        with pytest.raises(ConfigError, match=field):
+            build()
+
+    def test_integral_floats_become_ints(self):
+        assert type(sp.HtpConfig(max_iters=50.0).max_iters) is int
+        assert sp.HtpConfig(max_iters=50.0).max_iters == 50
+        grid = sp.ExperimentGrid(n=10.0, s_list=(2.0,), m_list=(np.int64(20),),
+                                 trials=1, seed=0, methods=("tp",),
+                                 configs=sp.SolverConfigs(restarts=3.0))
+        assert (grid.n, grid.s_list, grid.m_list, grid.configs.restarts) \
+            == (10, (2,), (20,), 3)
+        assert all(type(v) is int for v in
+                   (grid.n, *grid.s_list, *grid.m_list, grid.configs.restarts))
+
+
 class TestSolve:
     def test_unknown_method(self):
         rng = sp.trial_rng(3)

@@ -5,7 +5,6 @@ import sparsepr as sp
 from sparsepr import initializers
 from sparsepr.initializers import (magnitude_misfit, top_magnitude_indices,
                                    truncation_weights)
-from sparsepr.linalg import SymMatrix
 from sparsepr.model import Ensemble
 
 
@@ -21,7 +20,7 @@ def exact_expectation_block(x, alpha, beta, support):
     sub = xd[support]
     block = (beta - alpha) * np.outer(sub, sub) + \
         alpha * x.norm**2 * np.eye(len(support))
-    return SymMatrix(block)
+    return block
 
 
 class TestYDiag:
@@ -214,7 +213,7 @@ class TestRestrictedYbar:
     def test_single_index_single_row(self):
         e = one_row_ensemble([1.0, 2.0], 2.0)
         block = sp.restricted_ybar(e, np.array([1]), 0.5, 10.0)
-        np.testing.assert_allclose(block.entries, [[16.0]])
+        np.testing.assert_allclose(block, [[16.0]])
 
     def test_agrees_with_matvec_on_indicators(self):
         g = sp.trial_rng(55)
@@ -226,7 +225,7 @@ class TestRestrictedYbar:
             ind = np.zeros(12)
             ind[j] = 1.0
             full = sp.ybar_matvec(e, ind, 0.5, 10.0)
-            np.testing.assert_allclose(block.entries[:, col], full[S],
+            np.testing.assert_allclose(block[:, col], full[S],
                                        atol=1e-12)
 
     def test_disjoint_support_near_isotropic(self):
@@ -235,7 +234,7 @@ class TestRestrictedYbar:
         x = sp.sample_signal(8, 3, rng)
         e = sp.measure(x, 200_000, rng)
         S = np.setdiff1d(np.arange(8), x.support)[:3]
-        block = sp.restricted_ybar(e, S, 0.5, 10.0).entries
+        block = sp.restricted_ybar(e, S, 0.5, 10.0)
         alpha = sp.truncated_gaussian_moment(2, 0.5, 10.0)
         tol = 0.05 * x.norm**2
         off = block - np.diag(np.diag(block))

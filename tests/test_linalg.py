@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from sparsepr.linalg import (SymMatrix, restricted_least_squares,
-                             top_eigenvector)
+from sparsepr.linalg import restricted_least_squares, top_eigenvector
 
 
 def rayleigh_oracle(M, samples=10**6, seed=0):
@@ -30,37 +29,38 @@ def rayleigh_oracle(M, samples=10**6, seed=0):
     return v, float(v @ M @ v)
 
 
-class TestSymMatrix:
+class TestTopEigenvector:
     def test_symmetrizes_by_averaging(self):
-        m = SymMatrix([[1.0, 2.0], [4.0, 3.0]])
-        np.testing.assert_allclose(m.entries, [[1.0, 3.0], [3.0, 3.0]])
-        assert np.array_equal(m.entries, m.entries.T)
+        # eigh alone reads one triangle: [[1, 4], [4, 3]] has top value
+        # 2 + sqrt(17), the average [[1, 3], [3, 3]] has 2 + sqrt(10)
+        res = top_eigenvector([[1.0, 2.0], [4.0, 3.0]])
+        avg = top_eigenvector([[1.0, 3.0], [3.0, 3.0]])
+        assert np.array_equal(res.vector, avg.vector)
+        assert res.value == avg.value == pytest.approx(2 + np.sqrt(10))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            SymMatrix([[np.nan, 0.0], [0.0, 1.0]])
+            top_eigenvector([[np.nan, 0.0], [0.0, 1.0]])
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            SymMatrix(np.zeros((2, 3)))
+            top_eigenvector(np.zeros((2, 3)))
 
-
-class TestTopEigenvector:
     def test_diagonal_matrix(self):
-        res = top_eigenvector(SymMatrix(np.diag([5.0, 1.0])))
+        res = top_eigenvector(np.diag([5.0, 1.0]))
         np.testing.assert_allclose(res.vector, [1.0, 0.0], atol=1e-9)
         assert res.value == pytest.approx(5.0, abs=1e-9)
         assert res.converged and not res.degenerate
         assert res.iterations == 0  # direct solve, no power steps
 
     def test_symmetric_2x2_closed_form(self):
-        res = top_eigenvector(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
+        res = top_eigenvector([[2.0, 1.0], [1.0, 2.0]])
         r = 1 / np.sqrt(2)
         np.testing.assert_allclose(res.vector, [r, r], atol=1e-9)
         assert res.value == pytest.approx(3.0, abs=1e-9)
 
     def test_zero_matrix_degenerate(self):
-        res = top_eigenvector(SymMatrix(np.zeros((3, 3))))
+        res = top_eigenvector(np.zeros((3, 3)))
         np.testing.assert_allclose(res.vector, [1.0, 0.0, 0.0])
         assert res.value == 0.0
         assert res.degenerate
@@ -68,8 +68,8 @@ class TestTopEigenvector:
     def test_matches_rayleigh_oracle_random_5x5(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((5, 5))
-        M = SymMatrix(a + a.T)
-        oracle_v, oracle_val = rayleigh_oracle(M.entries)
+        M = a + a.T
+        oracle_v, oracle_val = rayleigh_oracle(M)
         res = top_eigenvector(M)
         angle = np.arccos(min(1.0, abs(oracle_v @ res.vector)))
         assert angle <= 1e-3
@@ -80,16 +80,16 @@ class TestTopEigenvector:
         rng = np.random.default_rng(21)
         for k in (2, 3, 4, 6):
             a = rng.standard_normal((k, k))
-            M = SymMatrix(a + a.T)
-            _, oracle_val = rayleigh_oracle(M.entries, samples=200_000,
+            M = a + a.T
+            _, oracle_val = rayleigh_oracle(M, samples=200_000,
                                             seed=k)
             res = top_eigenvector(M)
-            quot = res.vector @ M.entries @ res.vector
+            quot = res.vector @ M @ res.vector
             assert quot >= oracle_val - 1e-8
 
     def test_handles_dominant_negative_eigenvalue(self):
         # magnitude-top is negative; algebraic top must still be returned
-        M = SymMatrix(np.diag([1.0, -10.0]))
+        M = np.diag([1.0, -10.0])
         res = top_eigenvector(M)
         np.testing.assert_allclose(res.vector, [1.0, 0.0], atol=1e-9)
         assert res.value == pytest.approx(1.0, abs=1e-9)
@@ -97,9 +97,9 @@ class TestTopEigenvector:
     def test_start_exactly_on_lesser_eigenvector(self):
         # largest diagonal entry is an exact eigenvector of a lesser
         # eigenvalue; the top pair must still be found
-        M = SymMatrix([[1.05, 0.0, 0.0],
-                       [0.0, 1.0, 0.9],
-                       [0.0, 0.9, 1.0]])
+        M = np.array([[1.05, 0.0, 0.0],
+                      [0.0, 1.0, 0.9],
+                      [0.0, 0.9, 1.0]])
         res = top_eigenvector(M)
         assert res.value == pytest.approx(1.9, abs=1e-9)
         r = 1 / np.sqrt(2)
@@ -107,14 +107,14 @@ class TestTopEigenvector:
                                    atol=1e-8)
 
     def test_sign_convention(self):
-        M = SymMatrix(np.diag([4.0, 1.0]))
+        M = np.diag([4.0, 1.0])
         res = top_eigenvector(M)
         assert res.vector[0] > 0
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 6))
-        M = SymMatrix(a @ a.T)
+        M = a @ a.T
         r1 = top_eigenvector(M)
         r2 = top_eigenvector(M)
         assert np.array_equal(r1.vector, r2.vector)

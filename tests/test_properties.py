@@ -6,18 +6,22 @@ exception from these two readers would end in a traceback. No solver
 runs here.
 """
 
+import contextlib
 import copy
+import io
+import json
 import math
 import os
 import tempfile
 from dataclasses import fields
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from sparsepr import HtpConfig, InitConfig  # noqa: E402
+from sparsepr import HtpConfig, InitConfig, cli, harness  # noqa: E402
 from sparsepr.harness import ConfigError, grid_from_dict  # noqa: E402
 from sparsepr.instance_io import (InstanceFormatError,  # noqa: E402
                                   load_instance)
@@ -69,6 +73,43 @@ def test_grid_config_errors_are_config_errors(data):
         pass
 
 
+def _no_run(grid, parallelism=1, record_timing=True):
+    return harness.GridResult(records=[], cells=[])
+
+
+def _grid_cli(config_path, out_path):
+    """Exit code and stderr of `sparsepr grid` with no grid run."""
+    err = io.StringIO()
+    with mock.patch.object(harness, "run_grid", _no_run), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(["grid", "--config", config_path, "--threads", "1",
+                         "--out", out_path])
+    return code, err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(grid_configs())
+def test_grid_cli_exits_0_or_2_with_one_error_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        code, err = _grid_cli(path, os.path.join(tmp, "r.csv"))
+    assert code in (0, 2)
+    if code == 0:
+        assert err == ""
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_grid_cli_missing_config_exits_3(tmp_path):
+    code, err = _grid_cli(str(tmp_path / "absent.json"),
+                          str(tmp_path / "r.csv"))
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 VALID_SPR1 = ["SPR1 3 2 1", "0 1.5 0", "1 2 3", "-1 0.5 2", "3 0.75"]
 
 tokens = (st.sampled_from(["0", "1", "-1", "2.5", "-0", "nan", "inf",
@@ -115,3 +156,39 @@ def test_spr1_errors_are_instance_format_errors(text):
             load_instance(path)
         except InstanceFormatError:
             pass
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def negative_observation_instances(draw):
+    """(text, m) of an SPR1 file that is valid except for one negative
+    observation."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    x = draw(st.lists(finite, min_size=n, max_size=n))
+    x[draw(st.integers(0, n - 1))] = draw(finite.filter(bool))
+    A = draw(st.lists(st.lists(finite, min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    y = draw(st.lists(st.floats(0, 1e300), min_size=m, max_size=m))
+    y[draw(st.integers(0, m - 1))] = draw(
+        st.floats(max_value=0.0, exclude_max=True, allow_infinity=False))
+    s = sum(v != 0.0 for v in x)
+    rows = [x, *A, y]
+    text = "\n".join([f"SPR1 {n} {m} {s}"]
+                     + [" ".join(repr(float(v)) for v in row) for row in rows])
+    return text + "\n", m
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(negative_observation_instances())
+def test_negative_observation_names_the_observation_line(case):
+    text, m = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.spr1")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with pytest.raises(InstanceFormatError) as err:
+            load_instance(path)
+    assert err.value.line == m + 3
