@@ -158,12 +158,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    from .model import truncated_gaussian_moment
+    from .initializers import InitConfig
+    from .model import TruncationMoments
 
-    alpha = truncated_gaussian_moment(2, args.l, args.u)
-    beta = truncated_gaussian_moment(4, args.l, args.u)
-    print(f"alpha = {alpha:.17g}")
-    print(f"beta = {beta:.17g}")
+    band = InitConfig(l=args.l, u=args.u)  # a finite band with 0 <= l < u
+    moments = TruncationMoments.for_band(band.l, band.u)
+    print(f"alpha = {moments.alpha:.17g}")
+    print(f"beta = {moments.beta:.17g}")
     return 0
 
 

@@ -16,7 +16,8 @@ Three initializers are provided:
   top-s entries of |Y e_j0|.
 * ``tp_init``: modified-spectral start followed by truncated power
   iterations w_t = T_s'(Ybar w_{t-1}) / ||.||, then a final projection
-  back to s-sparse vectors.
+  back to s-sparse vectors. ``tp_restarts`` runs it from several anchors
+  as one block iteration.
 
 Each returns nu times a unit s-sparse vector, so the output has norm nu.
 """
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import top_eigenvector
-from .model import ConfigError, Ensemble, _integer, _real, apply_sensing, dist
+from .model import ConfigError, Ensemble, _integer, _real, apply_sensing
 
 _CONTRACTION = 0.98   # per-iteration factor the default budget assumes
 _BASIN = 0.125        # refinement basin radius the budget targets
@@ -91,32 +92,41 @@ class InitEstimate:
     iterations_run: int
 
 
-def top_magnitude_indices(values, k: int) -> np.ndarray:
-    """Indices of the k largest |values|; ties go to the smaller index.
+def top_magnitude_mask(values, k: int) -> np.ndarray:
+    """Mask of the k largest |values| along axis 0; ties go to the smaller
+    index.
 
-    Returned sorted ascending. k >= len(values) returns every index.
+    A 2-D input is a block of columns, each masked on its own. k >= the
+    length of axis 0 keeps everything.
     """
     mag = np.abs(np.asarray(values, dtype=float))
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k >= mag.size:
-        return np.arange(mag.size, dtype=np.intp)
-    order = np.lexsort((np.arange(mag.size), -mag))
-    return np.sort(order[:k])
+    n = mag.shape[0]
+    if k >= n:
+        return np.ones(mag.shape, dtype=bool)
+    if k == 0:
+        return np.zeros(mag.shape, dtype=bool)
+    kth = np.partition(mag, n - k, axis=0)[n - k]  # k-th largest per column
+    mask = mag > kth
+    at_kth = mag == kth
+    # the places left after the strict winners go to the ties at the cut,
+    # smaller indices first
+    room = k - np.count_nonzero(mask, axis=0)
+    return mask | (at_kth & (np.cumsum(at_kth, axis=0) <= room))
+
+
+def top_magnitude_indices(values, k: int) -> np.ndarray:
+    """Indices of the k largest |values| of a vector, sorted ascending; ties
+    go to the smaller index. k >= len(values) returns every index."""
+    return np.flatnonzero(top_magnitude_mask(values, k))
 
 
 def truncate(w, k: int) -> np.ndarray:
-    """Keep the k largest-magnitude entries of w, zero the rest.
-
-    Ties at the cut go to the smaller index; k >= len(w) copies w.
-    """
+    """Keep the k largest-magnitude entries of w (of each column of a
+    block), zero the rest; ties at the cut go to the smaller index."""
     w = np.asarray(w, dtype=float)
-    if k >= w.size:
-        return w.copy()
-    out = np.zeros_like(w)
-    keep = top_magnitude_indices(w, k)
-    out[keep] = w[keep]
-    return out
+    return np.where(top_magnitude_mask(w, k), w, 0.0)
 
 
 def y_diag(e: Ensemble) -> np.ndarray:
@@ -146,24 +156,39 @@ def support_j0(e: Ensemble, s: int) -> tuple[np.ndarray, int]:
     return top_magnitude_indices(y_column(e, j0), s), j0
 
 
+def _in_band(e: Ensemble, l: float, u: float) -> np.ndarray:
+    return (e.y >= l * e.nu) & (e.y <= u * e.nu)
+
+
 def truncation_weights(e: Ensemble, l: float, u: float) -> np.ndarray:
     """Row weights y_i^2 gated to the band [l*nu, u*nu]."""
-    keep = (e.y >= l * e.nu) & (e.y <= u * e.nu)
-    return np.where(keep, e.y * e.y, 0.0)
+    return np.where(_in_band(e, l, u), e.y * e.y, 0.0)
 
 
-def ybar_matvec(e: Ensemble, w, l: float, u: float) -> np.ndarray:
-    """Product Ybar w in O(m n) without materializing Ybar.
+@dataclass(frozen=True)
+class YbarOperator:
+    """Ybar prepared for repeated products: a contiguous copy of the rows
+    of A inside the band [l*nu, u*nu] and their weights y_i^2 / m."""
 
-    Ybar w = (1/m) sum_i y_i^2 1{l nu <= y_i <= u nu} <a_i, w> a_i. Sparse
-    inputs use a column-restricted first product; the result is identical
-    up to roundoff.
-    """
+    rows: np.ndarray
+    weights: np.ndarray
+
+
+def ybar_operator(e: Ensemble, l: float, u: float) -> YbarOperator:
+    """Prepare Ybar = (1/m) sum_i y_i^2 1{l nu <= y_i <= u nu} a_i a_i^T."""
+    keep = _in_band(e, l, u)
+    return YbarOperator(rows=e.A[keep], weights=e.y[keep] ** 2 / e.m)
+
+
+def ybar_matvec(op: YbarOperator, w) -> np.ndarray:
+    """Product Ybar w for a vector or an n x k block w, without
+    materializing Ybar: two products with the in-band rows."""
     w = np.asarray(w, dtype=float)
-    if w.shape != (e.n,):
+    if w.ndim not in (1, 2) or w.shape[0] != op.rows.shape[1]:
         raise ValueError("vector length must match the signal dimension")
-    weights = truncation_weights(e, l, u)
-    return e.A.T @ (weights * apply_sensing(e, w)) / e.m
+    z = op.rows @ w
+    z *= op.weights if w.ndim == 1 else op.weights[:, None]
+    return op.rows.T @ z
 
 
 def restricted_ybar(e: Ensemble, support, l: float, u: float) -> np.ndarray:
@@ -236,48 +261,10 @@ def magnitude_misfit(e: Ensemble, xhat) -> float:
     return float(np.linalg.norm(e.y - np.abs(apply_sensing(e, xhat))))
 
 
-def tp_init(e: Ensemble, s: int, cfg: InitConfig | None = None, *,
-            anchor: int | None = None) -> InitEstimate:
-    """Truncated power method initializer.
-
-    Starts from the modified-spectral direction, runs up to t_max steps of
-    w_t = T_s'(Ybar w_{t-1}) with renormalization (stopping early once the
-    sign-invariant step is at most STEP_TOL), then projects back to the
-    s-sparse set and rescales to norm nu.
-
-    The iterated estimate is kept only if it explains the observations at
-    least as well as its own start (phaseless misfit ||y - |A xhat|||_2,
-    the same data-residual selection the multi-restart driver applies
-    across restarts); at small sample sizes the iteration can drift off
-    support, and the fallback then returns the modified-spectral estimate
-    itself, with the steps taken in ``iterations_run``.
-
-    ``anchor`` passes through to the modified-spectral start. A zero
-    iterate falls back to the modified-spectral output, flagged
-    degenerate.
-    """
-    cfg = cfg or InitConfig()
-    if not 1 <= s <= e.n:
-        raise ValueError("need 1 <= s <= n")
-    s_prime = cfg.resolve_s_prime(s, e.n)
-    seed = modified_spectral_init(e, s, cfg, anchor=anchor)
-    if seed.degenerate:
-        return seed
-
-    w = seed.xhat / e.nu
-    iterations = 0
-    for t in range(1, cfg.t_max + 1):
-        wt = truncate(ybar_matvec(e, w, cfg.l, cfg.u), s_prime)
-        nrm = np.linalg.norm(wt)
-        if nrm == 0.0:
-            return replace(seed, degenerate=True, iterations_run=t)
-        w_next = wt / nrm
-        step = dist(w_next, w)
-        w = w_next
-        iterations = t
-        if step <= STEP_TOL:
-            break
-
+def _projected(e: Ensemble, s: int, seed: InitEstimate, w: np.ndarray,
+               iterations: int) -> InitEstimate:
+    # project the final iterate to s-sparse, keeping the start if it
+    # explains the observations better
     keep = top_magnitude_indices(w, s)
     xs = np.zeros(e.n)
     xs[keep] = w[keep]
@@ -286,3 +273,70 @@ def tp_init(e: Ensemble, s: int, cfg: InitConfig | None = None, *,
         return replace(seed, iterations_run=iterations)
     return InitEstimate(xhat=xhat, support=keep, j0=seed.j0,
                         degenerate=False, iterations_run=iterations)
+
+
+def tp_restarts(e: Ensemble, s: int, cfg: InitConfig | None,
+                anchors) -> list[InitEstimate]:
+    """Truncated power method from each anchor, run as one block.
+
+    Restart i starts from the modified-spectral direction anchored at
+    ``anchors[i]`` (None: the argmax rule) and runs up to t_max steps of
+    w_t = T_s'(Ybar w_{t-1}) with renormalization, stopping early once
+    the sign-invariant step is at most STEP_TOL. The restarts share one
+    n x b iterate, one Ybar product per step, and a column leaves the
+    block as soon as it stops. Each final iterate is projected back to
+    the s-sparse set and rescaled to norm nu.
+
+    An iterated estimate is kept only if it explains the observations at
+    least as well as its own start (phaseless misfit ||y - |A xhat|||_2,
+    the same data-residual selection the multi-restart driver applies
+    across restarts); at small sample sizes the iteration can drift off
+    support, and the fallback then returns the modified-spectral estimate
+    itself, with the steps taken in ``iterations_run``. A zero iterate at
+    step t returns the modified-spectral estimate flagged degenerate with
+    ``iterations_run=t``.
+    """
+    cfg = cfg or InitConfig()
+    if not 1 <= s <= e.n:
+        raise ValueError("need 1 <= s <= n")
+    s_prime = cfg.resolve_s_prime(s, e.n)
+    seeds = [modified_spectral_init(e, s, cfg, anchor=a) for a in anchors]
+    out = list(seeds)  # a degenerate start is returned as it is
+    cols = np.array([i for i, seed in enumerate(seeds)
+                     if not seed.degenerate], dtype=np.intp)
+    if not cols.size:
+        return out
+
+    op = ybar_operator(e, cfg.l, cfg.u)
+    w = np.column_stack([seeds[i].xhat / e.nu for i in cols])
+    for t in range(1, cfg.t_max + 1):
+        wt = truncate(ybar_matvec(op, w), s_prime)
+        nrm = np.linalg.norm(wt, axis=0)
+        w_next = wt / np.where(nrm == 0.0, 1.0, nrm)
+        step = np.minimum(np.linalg.norm(w_next - w, axis=0),
+                          np.linalg.norm(w_next + w, axis=0))
+        stopped = (nrm == 0.0) | (step <= STEP_TOL)
+        for c in np.flatnonzero(stopped):
+            i = cols[c]
+            out[i] = (replace(seeds[i], degenerate=True, iterations_run=t)
+                      if nrm[c] == 0.0
+                      else _projected(e, s, seeds[i], w_next[:, c], t))
+        w = w_next
+        if stopped.any():
+            w = w[:, ~stopped]
+            cols = cols[~stopped]
+            if not cols.size:
+                return out
+
+    for c, i in enumerate(cols):  # ran all t_max steps
+        out[i] = _projected(e, s, seeds[i], w[:, c], cfg.t_max)
+    return out
+
+
+def tp_init(e: Ensemble, s: int, cfg: InitConfig | None = None, *,
+            anchor: int | None = None) -> InitEstimate:
+    """Truncated power method initializer: ``tp_restarts`` from one anchor.
+
+    ``anchor`` passes through to the modified-spectral start.
+    """
+    return tp_restarts(e, s, cfg, (anchor,))[0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .initializers import (InitConfig, modified_spectral_init, spectral_init,
-                           tp_init, y_diag)
+                           tp_init, tp_restarts, y_diag)
 from .model import (ConfigError, Ensemble, _integer, apply_sensing,
                     relative_error, sgn)
 from .refine import HtpConfig, htp_run
@@ -31,14 +31,19 @@ _INITIALIZERS = {
 
 @dataclass(frozen=True)
 class SolverConfigs:
-    """Initializer and HTP settings plus the restart count b of tp_mr (an
-    integer >= 1, checked when built)."""
+    """Initializer and HTP settings (an InitConfig and an HtpConfig) plus
+    the restart count b of tp_mr (an integer >= 1), checked when built."""
 
     init: InitConfig = field(default_factory=InitConfig)
     htp: HtpConfig = field(default_factory=HtpConfig)
     restarts: int = 20
 
     def __post_init__(self):
+        for name, cls in (("init", InitConfig), ("htp", HtpConfig)):
+            value = getattr(self, name)
+            if not isinstance(value, cls):
+                raise ConfigError(
+                    f"{name} must be {cls.__name__}, got {value!r}")
         object.__setattr__(self, "restarts",
                            _integer(self.restarts, "restarts"))
         if self.restarts < 1:
@@ -51,9 +56,10 @@ class SolveReport:
 
     init_dist and rel_error are sign-invariant relative errors against the
     ground truth and are None when no truth was supplied. Elapsed times
-    are seconds; for multi-restart runs they are summed over restarts and
-    iterations/init_dist/htp_stop refer to the selected restart. htp_stop
-    is why HTP stopped (one of ``refine.STOPS``).
+    are seconds. For multi-restart runs init_elapsed is the wall time of
+    the one block TP run over all restarts, refine_elapsed is summed over
+    restarts, and iterations/init_dist/htp_stop refer to the selected
+    restart. htp_stop is why HTP stopped (one of ``refine.STOPS``).
     """
 
     x: np.ndarray
@@ -80,16 +86,6 @@ def _relative(value, truth):
     return None if truth is None else relative_error(value, truth)
 
 
-def _stage(e: Ensemble, s: int, initialize, cfg: SolverConfigs, **kw):
-    """Initialize, then refine with HTP: (estimate, refined, init seconds,
-    refine seconds)."""
-    t0 = time.perf_counter()
-    est = initialize(e, s, cfg.init, **kw)
-    t1 = time.perf_counter()
-    refined = htp_run(e, est.xhat, s, cfg.htp)
-    return est, refined, t1 - t0, time.perf_counter() - t1
-
-
 def solve_two_stage(e: Ensemble, s: int, method: str,
                     cfg: SolverConfigs | None = None,
                     truth=None) -> SolveReport:
@@ -101,12 +97,16 @@ def solve_two_stage(e: Ensemble, s: int, method: str,
     """
     if method not in _INITIALIZERS:
         raise ValueError(f"unknown two-stage method {method!r}")
-    est, refined, init_s, refine_s = _stage(e, s, _INITIALIZERS[method],
-                                            cfg or SolverConfigs())
+    cfg = cfg or SolverConfigs()
+    t0 = time.perf_counter()
+    est = _INITIALIZERS[method](e, s, cfg.init)
+    t1 = time.perf_counter()
+    refined = htp_run(e, est.xhat, s, cfg.htp)
     return SolveReport(x=refined.x, method=method,
                        init_dist=_relative(est.xhat, truth),
                        rel_error=_relative(refined.x, truth),
-                       init_elapsed=init_s, refine_elapsed=refine_s,
+                       init_elapsed=t1 - t0,
+                       refine_elapsed=time.perf_counter() - t1,
                        iterations=refined.iterations,
                        degenerate=est.degenerate, htp_stop=refined.stop)
 
@@ -117,9 +117,10 @@ def solve_multi_restart(e: Ensemble, s: int,
     """Truncated power method with multiple restarts (b = cfg.restarts).
 
     Restart b' anchors the support rule at the b'-th largest diagonal
-    entry of Y (ties to the smaller index), reruns TP + HTP, and the
-    candidate minimizing the gradient-norm residual wins; ties keep the
-    smallest b'. chosen_restart is the winning b', 1-based.
+    entry of Y (ties to the smaller index). TP runs for all restarts as
+    one block (``tp_restarts``), then HTP refines each start in anchor
+    order, and the candidate minimizing the gradient-norm residual wins;
+    ties keep the smallest b'. chosen_restart is the winning b', 1-based.
     """
     cfg = cfg or SolverConfigs()
     if cfg.restarts > e.n:
@@ -129,14 +130,16 @@ def solve_multi_restart(e: Ensemble, s: int,
     order = np.lexsort((np.arange(e.n), -diag))
     anchors = order[:cfg.restarts]  # b'-th entry is the b'-th largest
 
+    t0 = time.perf_counter()
+    starts = tp_restarts(e, s, cfg.init, [int(a) for a in anchors])
+    init_elapsed = time.perf_counter() - t0
+
     best = None
-    init_total = 0.0
     refine_total = 0.0
-    for b_index, anchor in enumerate(anchors, start=1):
-        est, refined, init_s, refine_s = _stage(e, s, tp_init, cfg,
-                                                anchor=int(anchor))
-        init_total += init_s
-        refine_total += refine_s
+    for b_index, est in enumerate(starts, start=1):
+        t1 = time.perf_counter()
+        refined = htp_run(e, est.xhat, s, cfg.htp)
+        refine_total += time.perf_counter() - t1
         score = gradient_residual(e, refined.x)
         if best is None or score < best[0]:
             best = (score, b_index, est, refined)
@@ -145,7 +148,8 @@ def solve_multi_restart(e: Ensemble, s: int,
     return SolveReport(x=refined.x, method="tp_mr",
                        init_dist=_relative(est.xhat, truth),
                        rel_error=_relative(refined.x, truth),
-                       init_elapsed=init_total, refine_elapsed=refine_total,
+                       init_elapsed=init_elapsed,
+                       refine_elapsed=refine_total,
                        iterations=refined.iterations,
                        degenerate=est.degenerate,
                        chosen_restart=b_min,

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import sparsepr as sp
 from sparsepr import refine
-from sparsepr.model import apply_sensing, sgn
+from sparsepr.initializers import (STEP_TOL, InitEstimate, magnitude_misfit,
+                                   modified_spectral_init, truncation_weights)
+from sparsepr.model import apply_sensing, dist, sgn
 
 
 def dense_truncated_y(A, y, scale, l, u):
@@ -59,6 +63,61 @@ def reference_htp_run(e, x0, s, cfg=None):
 @pytest.fixture
 def htp_reference():
     return reference_htp_run
+
+
+def _lexsort_top(values, k):
+    # the top-k rule as a full sort: descending |value|, then index
+    mag = np.abs(np.asarray(values, dtype=float))
+    if k >= mag.size:
+        return np.arange(mag.size, dtype=np.intp)
+    return np.sort(np.lexsort((np.arange(mag.size), -mag))[:k])
+
+
+def reference_tp_init(e, s, cfg=None, *, anchor=None):
+    """Single-vector truncated power loop with one GEMV over all m rows
+    per step and a sorting top-k.
+
+    Returns the estimate and the projected TP candidate that the misfit
+    fallback weighed against the start (None when no candidate was
+    formed).
+    """
+    cfg = cfg or sp.InitConfig()
+    s_prime = cfg.resolve_s_prime(s, e.n)
+    seed = modified_spectral_init(e, s, cfg, anchor=anchor)
+    if seed.degenerate:
+        return seed, None
+    weights = truncation_weights(e, cfg.l, cfg.u)
+
+    w = seed.xhat / e.nu
+    iterations = 0
+    for t in range(1, cfg.t_max + 1):
+        v = e.A.T @ (weights * apply_sensing(e, w)) / e.m
+        wt = np.zeros(e.n)
+        top = _lexsort_top(v, s_prime)
+        wt[top] = v[top]
+        nrm = np.linalg.norm(wt)
+        if nrm == 0.0:
+            return replace(seed, degenerate=True, iterations_run=t), None
+        w_next = wt / nrm
+        step = dist(w_next, w)
+        w = w_next
+        iterations = t
+        if step <= STEP_TOL:
+            break
+
+    keep = _lexsort_top(w, s)
+    xs = np.zeros(e.n)
+    xs[keep] = w[keep]
+    xhat = e.nu * (xs / np.linalg.norm(xs))
+    if magnitude_misfit(e, xhat) > magnitude_misfit(e, seed.xhat):
+        return replace(seed, iterations_run=iterations), xhat
+    return InitEstimate(xhat=xhat, support=keep, j0=seed.j0,
+                        degenerate=False, iterations_run=iterations), xhat
+
+
+@pytest.fixture
+def tp_reference():
+    return reference_tp_init
 
 
 @pytest.fixture

@@ -103,7 +103,7 @@ def test_criterion_3_matrix_free_against_dense(dense_ybar):
         dense = dense_ybar(e.A, e.y, e.nu, 0.5, 10.0)
         w = g.standard_normal(n)
         worst = max(worst, float(np.max(np.abs(
-            sp.ybar_matvec(e, w, 0.5, 10.0) - dense @ w))))
+            sp.ybar_matvec(sp.ybar_operator(e, 0.5, 10.0), w) - dense @ w))))
         S = np.sort(g.choice(n, size=min(3, n), replace=False))
         block = sp.restricted_ybar(e, S, 0.5, 10.0)
         worst = max(worst, float(np.max(np.abs(

@@ -31,6 +31,15 @@ class TestMoments:
         proc = run_cli(["moments", "--l", "5", "--u", "1"])
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("band", [["--l", "0", "--u", "inf"],
+                                      ["--l", "nan", "--u", "1"]])
+    def test_nonfinite_band_exits_2(self, band):
+        proc = run_cli(["moments", *band])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
 
 class TestTrial:
     def test_json_record_on_stdout(self):

@@ -164,11 +164,13 @@ class TestYbarMatvec:
         # nu = 2, band [1, 20] contains y = 2
         w = np.array([1.0, 1.0])
         expected = 4.0 * 3.0 * np.array([1.0, 2.0])  # y^2 <a,w> a
-        np.testing.assert_allclose(sp.ybar_matvec(e, w, 0.5, 10.0), expected)
+        op = sp.ybar_operator(e, 0.5, 10.0)
+        np.testing.assert_allclose(sp.ybar_matvec(op, w), expected)
 
     def test_all_rows_above_band(self):
         e = one_row_ensemble([1.0, 2.0], 2.0)
-        out = sp.ybar_matvec(e, np.ones(2), 0.1, 0.5)  # band [0.2, 1] < 2
+        op = sp.ybar_operator(e, 0.1, 0.5)  # band [0.2, 1] < 2
+        out = sp.ybar_matvec(op, np.ones(2))
         np.testing.assert_allclose(out, [0.0, 0.0])
 
     def test_matches_dense_assembly(self, dense_ybar):
@@ -182,7 +184,8 @@ class TestYbarMatvec:
             e = sp.measure(x, m, g)
             w = g.standard_normal(n)
             dense = dense_ybar(e.A, e.y, e.nu, 0.5, 10.0)
-            np.testing.assert_allclose(sp.ybar_matvec(e, w, 0.5, 10.0),
+            op = sp.ybar_operator(e, 0.5, 10.0)
+            np.testing.assert_allclose(sp.ybar_matvec(op, w),
                                        dense @ w, atol=1e-12)
 
     def test_linear_in_w(self):
@@ -192,9 +195,9 @@ class TestYbarMatvec:
         u = g.standard_normal(30)
         v = g.standard_normal(30)
         a, b = 0.7, -1.3
-        lhs = sp.ybar_matvec(e, a * u + b * v, 0.5, 10.0)
-        rhs = a * sp.ybar_matvec(e, u, 0.5, 10.0) + \
-            b * sp.ybar_matvec(e, v, 0.5, 10.0)
+        op = sp.ybar_operator(e, 0.5, 10.0)
+        lhs = sp.ybar_matvec(op, a * u + b * v)
+        rhs = a * sp.ybar_matvec(op, u) + b * sp.ybar_matvec(op, v)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12 * e.nu**2)
 
     def test_row_permutation_invariance(self):
@@ -204,9 +207,10 @@ class TestYbarMatvec:
         perm = g.permutation(60)
         e2 = Ensemble.from_measurements(e.A[perm], e.y[perm])
         w = g.standard_normal(20)
-        np.testing.assert_allclose(sp.ybar_matvec(e, w, 0.5, 10.0),
-                                   sp.ybar_matvec(e2, w, 0.5, 10.0),
-                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(
+            sp.ybar_matvec(sp.ybar_operator(e, 0.5, 10.0), w),
+            sp.ybar_matvec(sp.ybar_operator(e2, 0.5, 10.0), w),
+            rtol=1e-10, atol=1e-12)
 
 
 class TestRestrictedYbar:
@@ -224,7 +228,7 @@ class TestRestrictedYbar:
         for col, j in enumerate(S):
             ind = np.zeros(12)
             ind[j] = 1.0
-            full = sp.ybar_matvec(e, ind, 0.5, 10.0)
+            full = sp.ybar_matvec(sp.ybar_operator(e, 0.5, 10.0), ind)
             np.testing.assert_allclose(block[:, col], full[S],
                                        atol=1e-12)
 
@@ -344,8 +348,9 @@ class TestTpInit:
         def builder(e_, S, l, u):
             return exact_expectation_block(x, alpha, beta, S)
 
-        def exact_mv(e_, w, l, u):
-            return (beta - alpha) * (xd @ w) * xd + alpha * x.norm**2 * w
+        def exact_mv(op, w):
+            return ((beta - alpha) * np.multiply.outer(xd, xd @ w)
+                    + alpha * x.norm**2 * w)
 
         monkeypatch.setattr(initializers, "restricted_ybar", builder)
         monkeypatch.setattr(initializers, "ybar_matvec", exact_mv)
@@ -359,8 +364,8 @@ class TestTpInit:
         x, e = small_instance
         off = int(np.setdiff1d(np.arange(x.n), x.support)[0])
 
-        def off_support_mv(e_, w, l, u):
-            out = np.zeros(e_.n)
+        def off_support_mv(op, w):
+            out = np.zeros_like(w)
             out[off] = 1.0
             return out
 
@@ -428,6 +433,128 @@ class TestTpInit:
         a = sp.tp_init(e, 4)
         b = sp.tp_init(e2, 4)
         np.testing.assert_allclose(a.xhat, b.xhat, rtol=1e-9, atol=1e-11)
+
+
+def diagonal_anchors(e, b):
+    """The b anchors of tp_mr: largest diagonal entries, ties to the
+    smaller index."""
+    order = np.lexsort((np.arange(e.n), -sp.y_diag(e)))
+    return [int(a) for a in order[:b]]
+
+
+# (n, s, m) from undersampled to oversampled; t_max and s_prime vary by case
+TP_BLOCK_CELLS = [(n, s, m) for n in (30, 64, 120, 200) for s in (2, 5, 9)
+                  for m in (int(1.2 * s * np.log(n)), 4 * s * int(np.log(n)),
+                            12 * s * int(np.log(n)))]
+
+
+class TestTpRestarts:
+    def test_block_matches_single_vector_reference(self, tp_reference):
+        t_maxes = [0, 1, 5, sp.InitConfig().t_max]
+        fell_back = {True: 0, False: 0}
+        mixed_stops = 0
+        for k, (n, s, m) in enumerate(TP_BLOCK_CELLS):
+            cfg = sp.InitConfig(t_max=t_maxes[k % 4],
+                                s_prime=n if k % 5 == 0 else None)
+            rng = sp.trial_rng(sp.derive_trial_seed(91, n, s, m, 0))
+            x = sp.sample_signal(n, s, rng)
+            e = sp.measure(x, m, rng)
+            anchors = diagonal_anchors(e, 4)
+            block = sp.tp_restarts(e, s, cfg, anchors)
+            assert len(block) == len(anchors)
+            for a, got in zip(anchors, block):
+                want, candidate = tp_reference(e, s, cfg, anchor=a)
+                seed = sp.modified_spectral_init(e, s, cfg, anchor=a)
+                np.testing.assert_array_equal(got.support, want.support)
+                assert got.j0 == want.j0 == a
+                assert got.iterations_run == want.iterations_run
+                assert got.degenerate == want.degenerate
+                np.testing.assert_allclose(got.xhat, want.xhat, rtol=0,
+                                           atol=1e-12 * e.nu)
+                kept = want.xhat.tobytes() == seed.xhat.tobytes()
+                # where the TP candidate equals its start to roundoff the
+                # misfit comparison is a coin toss with no effect on xhat
+                if sp.dist(candidate, seed.xhat) > 1e-12 * e.nu:
+                    assert (got.xhat.tobytes() == seed.xhat.tobytes()) == kept
+                    fell_back[kept] += 1
+            mixed_stops += len({est.iterations_run for est in block}) > 1
+        assert fell_back[True] > 0 and fell_back[False] > 0
+        assert mixed_stops > 0
+
+    def test_fallback_fires_and_not_when_undersampled(self):
+        fired = set()
+        for n, s, m in TP_BLOCK_CELLS[::3]:  # the smallest m of each (n, s)
+            rng = sp.trial_rng(sp.derive_trial_seed(91, n, s, m, 0))
+            x = sp.sample_signal(n, s, rng)
+            e = sp.measure(x, m, rng)
+            anchors = diagonal_anchors(e, 4)
+            for a, got in zip(anchors, sp.tp_restarts(e, s, None, anchors)):
+                seed = sp.modified_spectral_init(e, s, anchor=a)
+                fired.add(got.xhat.tobytes() == seed.xhat.tobytes())
+        assert fired == {True, False}
+
+    def test_zero_observations_return_the_flagged_starts(self,
+                                                       tp_reference):
+        e = Ensemble.from_measurements(np.ones((6, 40)), np.zeros(6))
+        block = sp.tp_restarts(e, 3, None, [0, 7, 39])
+        for a, got in zip([0, 7, 39], block):
+            want, candidate = tp_reference(e, 3, anchor=a)
+            assert candidate is None
+            assert got.degenerate and want.degenerate
+            assert got.xhat.tobytes() == want.xhat.tobytes()
+            np.testing.assert_array_equal(got.support, want.support)
+            assert got.j0 == want.j0
+            assert got.iterations_run == want.iterations_run == 0
+
+    def test_zero_step_flags_only_that_column(self, small_instance,
+                                              monkeypatch):
+        # a product that vanishes in column 1 at step 2: that restart
+        # returns its start flagged degenerate with iterations_run=2
+        x, e = small_instance
+        real = initializers.ybar_matvec
+        calls = []
+
+        def vanishing(op, w):
+            out = real(op, w)
+            calls.append(w.shape[1])
+            if len(calls) == 2:
+                out[:, 1] = 0.0
+            return out
+
+        anchors = diagonal_anchors(e, 3)
+        monkeypatch.setattr(initializers, "ybar_matvec", vanishing)
+        block = sp.tp_restarts(e, x.s, sp.InitConfig(t_max=5), anchors)
+        seed = sp.modified_spectral_init(e, x.s, anchor=anchors[1])
+        assert block[1].degenerate and block[1].iterations_run == 2
+        assert block[1].xhat.tobytes() == seed.xhat.tobytes()
+        assert not block[0].degenerate and not block[2].degenerate
+        assert calls[:3] == [3, 3, 2]
+
+    def test_tp_init_is_the_one_anchor_block(self, small_instance):
+        x, e = small_instance
+        for anchor in (None, 5):
+            one = sp.tp_init(e, x.s, anchor=anchor)
+            (blk,) = sp.tp_restarts(e, x.s, None, (anchor,))
+            assert one.xhat.tobytes() == blk.xhat.tobytes()
+            assert one.iterations_run == blk.iterations_run
+
+    def test_multi_restart_matches_per_anchor_loop(self):
+        for n, s, m in [(64, 5, 80), (120, 9, 144), (200, 9, 180),
+                        (200, 5, 100)]:
+            rng = sp.trial_rng(sp.derive_trial_seed(92, n, s, m, 0))
+            x = sp.sample_signal(n, s, rng)
+            e = sp.measure(x, m, rng)
+            cfg = sp.SolverConfigs(restarts=6)
+            rep = sp.solve_multi_restart(e, s, cfg)
+            best = None
+            for b, a in enumerate(diagonal_anchors(e, 6), start=1):
+                est = sp.tp_init(e, s, cfg.init, anchor=a)
+                refined = sp.htp_run(e, est.xhat, s, cfg.htp)
+                score = sp.gradient_residual(e, refined.x)
+                if best is None or score < best[0]:
+                    best = (score, b, refined.x)
+            assert rep.chosen_restart == best[1]
+            np.testing.assert_allclose(rep.x, best[2], rtol=0, atol=1e-12)
 
 
 class TestMagnitudeMisfit:

@@ -129,3 +129,15 @@ class TestSolverConfigs:
     def test_restart_floor(self):
         with pytest.raises(ValueError):
             sp.SolverConfigs(restarts=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("init", {"l": 1.0}), ("init", None), ("init", sp.HtpConfig()),
+        ("htp", {"mu": 0.5}), ("htp", sp.InitConfig())])
+    def test_wrong_config_type_rejected(self, field, value):
+        with pytest.raises(pipeline.ConfigError, match=field):
+            sp.SolverConfigs(**{field: value})
+
+    def test_config_objects_accepted(self):
+        cfg = sp.SolverConfigs(init=sp.InitConfig(l=1.0),
+                               htp=sp.HtpConfig(mu=0.5))
+        assert cfg.init.l == 1.0 and cfg.htp.mu == 0.5

@@ -1,9 +1,10 @@
-"""Malformed outside input fails with the package's own error types.
+"""Property tests: malformed outside input and the top-k kernel.
 
 Grid configs arrive as JSON and instances as SPR1 text. The CLI maps
 ConfigError and InstanceFormatError to exit code 2, so any other
 exception from these two readers would end in a traceback. No solver
-runs here.
+runs here. The top-k mask that TP and HTP select with is checked against
+the full-sort rule on tie-heavy inputs.
 """
 
 import contextlib
@@ -16,12 +17,14 @@ import tempfile
 from dataclasses import fields
 from unittest import mock
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from sparsepr import HtpConfig, InitConfig, cli, harness  # noqa: E402
+from sparsepr import (HtpConfig, InitConfig, cli, harness,  # noqa: E402
+                      top_magnitude_mask)
 from sparsepr.harness import ConfigError, grid_from_dict  # noqa: E402
 from sparsepr.instance_io import (InstanceFormatError,  # noqa: E402
                                   load_instance)
@@ -192,3 +195,34 @@ def test_negative_observation_names_the_observation_line(case):
         with pytest.raises(InstanceFormatError) as err:
             load_instance(path)
     assert err.value.line == m + 3
+
+
+@st.composite
+def tie_heavy_blocks(draw):
+    """(values, k): a 1-D or n x cols array of small signed integers, so
+    many magnitudes tie, and k from 0 to n + 1."""
+    n = draw(st.integers(1, 12))
+    shape = (n,) if draw(st.booleans()) else (n, draw(st.integers(1, 4)))
+    size = int(np.prod(shape))
+    values = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    return np.array(values, dtype=float).reshape(shape), draw(
+        st.integers(0, n + 1))
+
+
+def _lexsort_mask(column, k):
+    # descending magnitude, ties to the smaller index, first k kept
+    order = np.lexsort((np.arange(column.size), -np.abs(column)))
+    mask = np.zeros(column.size, dtype=bool)
+    mask[order[:k]] = True
+    return mask
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(tie_heavy_blocks())
+def test_top_magnitude_mask_is_the_lexsort_rule(case):
+    values, k = case
+    mask = top_magnitude_mask(values, k)
+    assert mask.shape == values.shape and mask.dtype == bool
+    columns = values.reshape(values.shape[0], -1)
+    want = np.column_stack([_lexsort_mask(c, k) for c in columns.T])
+    np.testing.assert_array_equal(mask.reshape(want.shape), want)
