@@ -11,15 +11,14 @@ from .harness import (CellSummary, ExperimentGrid, GridResult, TrialRecord,
                       run_grid, run_trial, solve, summary_table, trial_rng,
                       wilson_interval)
 from .initializers import (InitConfig, InitEstimate, YbarOperator,
-                           modified_spectral_init, restricted_ybar,
-                           spectral_init, support_diag, support_j0,
+                           diagonal_anchors, modified_spectral_init,
+                           restricted_ybar, spectral_init, support_diag,
                            top_magnitude_mask, tp_init, tp_restarts, truncate,
                            y_column, y_diag, ybar_matvec, ybar_operator)
 from .instance_io import InstanceFormatError, load_instance, save_instance
 from .linalg import restricted_least_squares, top_eigenvector
-from .model import (Ensemble, SparseSignal, TruncationMoments, dist, measure,
-                    norm_estimate, relative_error, sample_signal,
-                    truncated_gaussian_moment)
+from .model import (Ensemble, SparseSignal, dist, measure, norm_estimate,
+                    relative_error, sample_signal, truncated_gaussian_moment)
 from .pipeline import (METHODS, SolveReport, SolverConfigs, gradient_residual,
                        solve_multi_restart, solve_two_stage)
 from .refine import HtpConfig, RefineResult, htp_run, htp_step
@@ -30,14 +29,14 @@ __all__ = [
     "CellSummary", "Ensemble", "ExperimentGrid", "GridResult", "HtpConfig",
     "InitConfig", "InitEstimate", "InstanceFormatError", "METHODS",
     "RefineResult", "SolveReport", "SolverConfigs", "SparseSignal",
-    "TrialRecord", "TruncationMoments", "YbarOperator",
-    "aggregate", "derive_trial_seed", "dist", "emit_csv",
+    "TrialRecord", "YbarOperator",
+    "aggregate", "derive_trial_seed", "diagonal_anchors", "dist", "emit_csv",
     "gradient_residual", "htp_run", "htp_step", "load_instance", "measure",
     "modified_spectral_init", "norm_estimate", "parse_csv", "relative_error",
     "restricted_least_squares", "restricted_ybar", "run_grid", "run_trial",
     "sample_signal", "save_instance", "solve", "solve_multi_restart",
     "solve_two_stage", "spectral_init", "summary_table", "support_diag",
-    "support_j0", "top_eigenvector", "top_magnitude_mask", "tp_init",
+    "top_eigenvector", "top_magnitude_mask", "tp_init",
     "tp_restarts", "trial_rng", "truncate", "truncated_gaussian_moment",
     "wilson_interval", "y_column", "y_diag", "ybar_matvec", "ybar_operator",
 ]

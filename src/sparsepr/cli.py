@@ -159,12 +159,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_moments(args) -> int:
     from .initializers import InitConfig
-    from .model import TruncationMoments
+    from .model import truncated_gaussian_moment
 
     band = InitConfig(l=args.l, u=args.u)  # a finite band with 0 <= l < u
-    moments = TruncationMoments.for_band(band.l, band.u)
-    print(f"alpha = {moments.alpha:.17g}")
-    print(f"beta = {moments.beta:.17g}")
+    print(f"alpha = {truncated_gaussian_moment(2, band.l, band.u):.17g}")
+    print(f"beta = {truncated_gaussian_moment(4, band.l, band.u):.17g}")
     return 0
 
 

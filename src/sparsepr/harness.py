@@ -120,6 +120,10 @@ class ExperimentGrid:
             self.configs.init.resolve_s_prime(s, self.n)
         if any(m < 1 for m in self.m_list):
             raise ConfigError("every m must be positive")
+        if max(self.s_list) > min(self.m_list):
+            # HTP's least squares on s columns needs at least s equations
+            raise ConfigError(f"every s must be at most every m: s = "
+                              f"{max(self.s_list)} > m = {min(self.m_list)}")
         if self.trials < 1:
             raise ConfigError("need at least one trial")
         if not self.success_threshold > 0:

@@ -12,12 +12,13 @@ assembled densely.
 Three initializers are provided:
 
 * ``spectral_init``: support from the top-s diagonal entries of Y.
-* ``modified_spectral_init``: anchor j0 = argmax Y_jj, support from the
+* ``modified_spectral_init``: anchor j0 = the first of
+  ``diagonal_anchors`` (argmax Y_jj) unless one is given, support from the
   top-s entries of |Y e_j0|.
 * ``tp_init``: modified-spectral start followed by truncated power
   iterations w_t = T_s'(Ybar w_{t-1}) / ||.||, then a final projection
   back to s-sparse vectors. ``tp_restarts`` runs it from several anchors
-  as one block iteration.
+  as one block iteration; ``tp_init`` is its one-anchor case.
 
 Each returns nu times a unit s-sparse vector, so the output has norm nu.
 """
@@ -148,12 +149,11 @@ def support_diag(e: Ensemble, s: int) -> np.ndarray:
     return top_magnitude_indices(y_diag(e), s)
 
 
-def support_j0(e: Ensemble, s: int) -> tuple[np.ndarray, int]:
-    """Anchor j0 = argmax Y_jj and the top-s entries of |Y e_j0|."""
-    if not 1 <= s <= e.n:
-        raise ValueError("need 1 <= s <= n")
-    j0 = int(np.argmax(y_diag(e)))  # first occurrence: smallest index on ties
-    return top_magnitude_indices(y_column(e, j0), s), j0
+def diagonal_anchors(diag, b: int) -> np.ndarray:
+    """The b anchors of the anchored initializers: indices of the largest
+    diagonal entries, largest first, ties to the smaller index."""
+    diag = np.asarray(diag, dtype=float)
+    return np.lexsort((np.arange(diag.size), -diag))[:b]
 
 
 def _in_band(e: Ensemble, l: float, u: float) -> np.ndarray:
@@ -205,13 +205,6 @@ def restricted_ybar(e: Ensemble, support, l: float, u: float) -> np.ndarray:
     return (As * weights[:, None]).T @ As / e.m
 
 
-def _degenerate_estimate(e: Ensemble, s: int) -> InitEstimate:
-    # all-zero observations: no usable signal energy, return the flagged zero
-    return InitEstimate(xhat=np.zeros(e.n),
-                        support=np.arange(s, dtype=np.intp),
-                        j0=None, degenerate=True, iterations_run=0)
-
-
 def _spectral_from_support(e: Ensemble, cfg: InitConfig, support: np.ndarray,
                            j0: int | None) -> InitEstimate:
     block = restricted_ybar(e, support, cfg.l, cfg.u)
@@ -225,34 +218,23 @@ def _spectral_from_support(e: Ensemble, cfg: InitConfig, support: np.ndarray,
 def spectral_init(e: Ensemble, s: int,
                   cfg: InitConfig | None = None) -> InitEstimate:
     """Baseline spectral initializer: support from the diagonal of Y."""
-    cfg = cfg or InitConfig()
-    if not 1 <= s <= e.n:
-        raise ValueError("need 1 <= s <= n")
-    if e.nu == 0.0:
-        return _degenerate_estimate(e, s)
-    return _spectral_from_support(e, cfg, support_diag(e, s), None)
+    return _spectral_from_support(e, cfg or InitConfig(), support_diag(e, s),
+                                  None)
 
 
 def modified_spectral_init(e: Ensemble, s: int, cfg: InitConfig | None = None,
                            *, anchor: int | None = None) -> InitEstimate:
-    """Anchored spectral initializer: support from the top entries of |Y e_j0|.
+    """Anchored spectral initializer: support from the top entries of
+    |Y e_j0|, with j0 = ``anchor``, by default the first diagonal anchor.
 
-    ``anchor`` overrides j0 (used by the multi-restart driver); the default
-    argmax rule breaks ties toward the smaller index.
+    All-zero observations give a zero block, so the estimate is the
+    flagged zero with support 0..s-1.
     """
-    cfg = cfg or InitConfig()
     if not 1 <= s <= e.n:
         raise ValueError("need 1 <= s <= n")
-    if e.nu == 0.0:
-        return _degenerate_estimate(e, s)
-    if anchor is None:
-        support, j0 = support_j0(e, s)
-    else:
-        if not 0 <= anchor < e.n:
-            raise ValueError("anchor out of range")
-        j0 = int(anchor)
-        support = top_magnitude_indices(y_column(e, j0), s)
-    return _spectral_from_support(e, cfg, support, j0)
+    j0 = int(diagonal_anchors(y_diag(e), 1)[0] if anchor is None else anchor)
+    support = top_magnitude_indices(y_column(e, j0), s)
+    return _spectral_from_support(e, cfg or InitConfig(), support, j0)
 
 
 def magnitude_misfit(e: Ensemble, xhat) -> float:
@@ -280,7 +262,7 @@ def tp_restarts(e: Ensemble, s: int, cfg: InitConfig | None,
     """Truncated power method from each anchor, run as one block.
 
     Restart i starts from the modified-spectral direction anchored at
-    ``anchors[i]`` (None: the argmax rule) and runs up to t_max steps of
+    ``anchors[i]`` and runs up to t_max steps of
     w_t = T_s'(Ybar w_{t-1}) with renormalization, stopping early once
     the sign-invariant step is at most STEP_TOL. The restarts share one
     n x b iterate, one Ybar product per step, and a column leaves the
@@ -333,10 +315,8 @@ def tp_restarts(e: Ensemble, s: int, cfg: InitConfig | None,
     return out
 
 
-def tp_init(e: Ensemble, s: int, cfg: InitConfig | None = None, *,
-            anchor: int | None = None) -> InitEstimate:
-    """Truncated power method initializer: ``tp_restarts`` from one anchor.
-
-    ``anchor`` passes through to the modified-spectral start.
-    """
-    return tp_restarts(e, s, cfg, (anchor,))[0]
+def tp_init(e: Ensemble, s: int,
+            cfg: InitConfig | None = None) -> InitEstimate:
+    """Truncated power method initializer: ``tp_restarts`` from the first
+    diagonal anchor."""
+    return tp_restarts(e, s, cfg, diagonal_anchors(y_diag(e), 1))[0]

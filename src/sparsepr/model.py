@@ -242,31 +242,3 @@ def truncated_gaussian_moment(k: int, a1: float, a2: float) -> float:
         return 2.0 * (cdf_gap - edge1)
     edge3 = a2**3 * _pdf(a2) - a1**3 * _pdf(a1)
     return 2.0 * (3.0 * cdf_gap - edge3 - 3.0 * edge1)
-
-
-@dataclass(frozen=True)
-class TruncationMoments:
-    """Second and fourth truncated moments of the band [l, u].
-
-    alpha = E[g^2; l <= |g| <= u], beta = E[g^4; l <= |g| <= u]. With the
-    worked-constant band (l=0.5, u=10): alpha ~ 0.969, beta ~ 2.995.
-    """
-
-    l: float
-    u: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (0 <= self.l < self.u):
-            raise ValueError("need 0 <= l < u")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("moments must be finite")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("moments must be nonnegative")
-
-    @classmethod
-    def for_band(cls, l: float, u: float) -> "TruncationMoments":
-        return cls(l=l, u=u,
-                   alpha=truncated_gaussian_moment(2, l, u),
-                   beta=truncated_gaussian_moment(4, l, u))

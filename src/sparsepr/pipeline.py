@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .initializers import (InitConfig, modified_spectral_init, spectral_init,
-                           tp_init, tp_restarts, y_diag)
+from .initializers import (InitConfig, diagonal_anchors,
+                           modified_spectral_init, spectral_init, tp_init,
+                           tp_restarts, y_diag)
 from .model import (ConfigError, Ensemble, _integer, apply_sensing,
                     relative_error, sgn)
 from .refine import HtpConfig, htp_run
@@ -116,8 +117,8 @@ def solve_multi_restart(e: Ensemble, s: int,
                         truth=None) -> SolveReport:
     """Truncated power method with multiple restarts (b = cfg.restarts).
 
-    Restart b' anchors the support rule at the b'-th largest diagonal
-    entry of Y (ties to the smaller index). TP runs for all restarts as
+    Restart b' anchors the support rule at the b'-th of
+    ``diagonal_anchors``. TP runs for all restarts as
     one block (``tp_restarts``), then HTP refines each start in anchor
     order, and the candidate minimizing the gradient-norm residual wins;
     ties keep the smallest b'. chosen_restart is the winning b', 1-based.
@@ -126,12 +127,10 @@ def solve_multi_restart(e: Ensemble, s: int,
     if cfg.restarts > e.n:
         raise ValueError("more restarts than coordinates")
 
-    diag = y_diag(e)
-    order = np.lexsort((np.arange(e.n), -diag))
-    anchors = order[:cfg.restarts]  # b'-th entry is the b'-th largest
+    anchors = diagonal_anchors(y_diag(e), cfg.restarts)
 
     t0 = time.perf_counter()
-    starts = tp_restarts(e, s, cfg.init, [int(a) for a in anchors])
+    starts = tp_restarts(e, s, cfg.init, anchors)
     init_elapsed = time.perf_counter() - t0
 
     best = None

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .initializers import top_magnitude_indices
+from .initializers import magnitude_misfit, top_magnitude_indices
 from .linalg import restricted_least_squares
 from .model import ConfigError, Ensemble, _integer, _real, apply_sensing, sgn
 
@@ -57,15 +57,24 @@ class HtpConfig:
 
 @dataclass(frozen=True)
 class RefineResult:
-    """Refined s-sparse iterate with convergence diagnostics; ``stop`` is
-    one of STOPS."""
+    """Refined s-sparse iterate, the relative residual after each step and
+    why the run stopped (one of STOPS)."""
 
     x: np.ndarray
-    iterations: int
-    converged: bool
-    final_residual: float
     residual_history: np.ndarray
     stop: str
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
+
+    @property
+    def final_residual(self) -> float:
+        return float(self.residual_history[-1])
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 def htp_step(e: Ensemble, x_k, s: int,
@@ -102,32 +111,26 @@ def htp_run(e: Ensemble, x0, s: int,
     prev_support = np.flatnonzero(x)
     residuals = []
     streak = 0
-    converged = False
     stop = "cap"
-    iterations = 0
 
     for _ in range(cfg.max_iters):
         x_prev = x
         x, support = htp_step(e, x, s, cfg)
-        iterations += 1
-        z = apply_sensing(e, x)
-        res = float(np.linalg.norm(z - e.y * sgn(z)))
+        # ||y - |A x||| is ||A x - y .* sgn(A x)|| bit for bit: the
+        # entries agree up to sign
+        res = magnitude_misfit(e, x)
         rel = res / y_norm if y_norm > 0 else res
         residuals.append(rel)
         streak = streak + 1 if np.array_equal(support, prev_support) else 1
         prev_support = support
         if streak >= SUPPORT_STALL and rel <= RESIDUAL_TOL:
-            converged = True
             stop = "converged"
             break
         # the next step would repeat this support, so the rule above then
         # decides on rel alone; at the cap there is no next step
-        if iterations < cfg.max_iters and x.tobytes() == x_prev.tobytes():
-            converged = rel <= RESIDUAL_TOL
-            stop = "converged" if converged else "fixed_point"
+        if len(residuals) < cfg.max_iters and x.tobytes() == x_prev.tobytes():
+            stop = "converged" if rel <= RESIDUAL_TOL else "fixed_point"
             break
 
-    final = residuals[-1] if residuals else 0.0
-    return RefineResult(x=x, iterations=iterations, converged=converged,
-                        final_residual=final,
-                        residual_history=np.asarray(residuals), stop=stop)
+    return RefineResult(x=x, residual_history=np.asarray(residuals),
+                        stop=stop)

@@ -41,7 +41,7 @@ def reference_htp_run(e, x0, s, cfg=None):
     prev_support = np.flatnonzero(x)
     residuals = []
     streak = 0
-    converged = False
+    stop = "cap"
     for _ in range(cfg.max_iters):
         x, support = refine.htp_step(e, x, s, cfg)
         z = apply_sensing(e, x)
@@ -50,14 +50,11 @@ def reference_htp_run(e, x0, s, cfg=None):
         residuals.append(rel)
         streak = streak + 1 if np.array_equal(support, prev_support) else 1
         prev_support = support
-        converged = (streak >= refine.SUPPORT_STALL
-                     and rel <= refine.RESIDUAL_TOL)
-        if converged:
+        if streak >= refine.SUPPORT_STALL and rel <= refine.RESIDUAL_TOL:
+            stop = "converged"
             break
-    return sp.RefineResult(x=x, iterations=len(residuals),
-                           converged=converged, final_residual=residuals[-1],
-                           residual_history=np.asarray(residuals),
-                           stop="converged" if converged else "cap")
+    return sp.RefineResult(x=x, residual_history=np.asarray(residuals),
+                           stop=stop)
 
 
 @pytest.fixture

@@ -204,7 +204,7 @@ def test_criterion_7_statistical_concentration_checks():
         rng = sp.trial_rng(sp.derive_trial_seed(GRID_SEED, n, s, m2, t))
         x = sp.sample_signal(n, s, rng)
         e = sp.measure(x, m2, rng)
-        _, j0 = sp.support_j0(e, s)
+        j0 = sp.diagonal_anchors(sp.y_diag(e), 1)[0]
         xd = x.to_dense()
         anchor_hits += abs(xd[j0]) >= 0.5 * np.max(np.abs(xd))
 

@@ -70,7 +70,8 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("s,m,s_prime", [
         (11, 20, None), (0, 20, None), (2, 0, None), (2, 20, 1),
-    ], ids=["11-20", "0-20", "2-0", "s_prime-below-s"])
+        (5, 4, None),
+    ], ids=["11-20", "0-20", "2-0", "s_prime-below-s", "5-4"])
     def test_out_of_range_cell_rejected_before_sampling(self, s, m, s_prime,
                                                         monkeypatch):
         def no_sampling(*args):

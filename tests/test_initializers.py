@@ -96,16 +96,20 @@ class TestSupportRules:
             hits += cap >= 0.95
         assert hits >= 75
 
-    def test_support_j0_hand_case(self):
+    def test_anchored_support_hand_case(self):
         e = one_row_ensemble([1.0, 2.0], 2.0)
-        support, j0 = sp.support_j0(e, 1)
-        assert j0 == 1
-        np.testing.assert_array_equal(support, [1])
+        est = sp.modified_spectral_init(e, 1)
+        assert est.j0 == 1
+        np.testing.assert_array_equal(est.support, [1])
 
-    def test_support_j0_full(self):
+    def test_anchored_support_full(self):
         e = one_row_ensemble([1.0, 2.0], 2.0)
-        support, _ = sp.support_j0(e, 2)
-        np.testing.assert_array_equal(support, [0, 1])
+        est = sp.modified_spectral_init(e, 2)
+        np.testing.assert_array_equal(est.support, [0, 1])
+
+    def test_diagonal_anchors_hand_case(self):
+        np.testing.assert_array_equal(
+            sp.diagonal_anchors([1.0, 3.0, 0.0, 3.0], 3), [1, 3, 0])
 
     def test_anchor_quality_rate(self):
         # anchor entry at least half the largest magnitude
@@ -115,7 +119,7 @@ class TestSupportRules:
             rng = sp.trial_rng(sp.derive_trial_seed(43, n, s, m, t))
             x = sp.sample_signal(n, s, rng)
             e = sp.measure(x, m, rng)
-            _, j0 = sp.support_j0(e, s)
+            j0 = sp.diagonal_anchors(sp.y_diag(e), 1)[0]
             xd = x.to_dense()
             hits += abs(xd[j0]) >= 0.5 * np.max(np.abs(xd))
         assert hits >= 90
@@ -270,7 +274,7 @@ class TestExpectationIdentity:
 class TestModifiedSpectralInit:
     def test_exact_expectation_seam(self, small_instance, monkeypatch):
         x, e = small_instance
-        support, _ = sp.support_j0(e, x.s)
+        support = sp.modified_spectral_init(e, x.s).support
         assert np.array_equal(support, x.support)  # seeded to recover S
         alpha = sp.truncated_gaussian_moment(2, 0.5, 10.0)
         beta = sp.truncated_gaussian_moment(4, 0.5, 10.0)
@@ -301,8 +305,11 @@ class TestModifiedSpectralInit:
         A = np.ones((3, 4))
         e = Ensemble.from_measurements(A, np.zeros(3))
         est = sp.modified_spectral_init(e, 2)
-        assert est.degenerate
+        assert est.degenerate and est.j0 == 0
+        np.testing.assert_array_equal(est.support, [0, 1])
         np.testing.assert_allclose(est.xhat, np.zeros(4))
+        anchored = sp.modified_spectral_init(e, 2, anchor=3)
+        assert anchored.degenerate and anchored.j0 == 3
 
 
 class TestSpectralInit:
@@ -323,7 +330,9 @@ class TestSpectralInit:
         A = np.ones((2, 3))
         e = Ensemble.from_measurements(A, np.zeros(2))
         est = sp.spectral_init(e, 1)
-        assert est.degenerate
+        assert est.degenerate and est.j0 is None
+        np.testing.assert_array_equal(est.support, [0])
+        np.testing.assert_allclose(est.xhat, np.zeros(3))
 
 
 class TestTpInit:
@@ -412,7 +421,9 @@ class TestTpInit:
         A = np.ones((3, 5))
         e = Ensemble.from_measurements(A, np.zeros(3))
         est = sp.tp_init(e, 2)
-        assert est.degenerate
+        assert est.degenerate and est.j0 == 0
+        assert est.iterations_run == 0
+        np.testing.assert_array_equal(est.support, [0, 1])
         np.testing.assert_allclose(est.xhat, np.zeros(5))
 
     def test_s_prime_validation(self):
@@ -435,13 +446,6 @@ class TestTpInit:
         np.testing.assert_allclose(a.xhat, b.xhat, rtol=1e-9, atol=1e-11)
 
 
-def diagonal_anchors(e, b):
-    """The b anchors of tp_mr: largest diagonal entries, ties to the
-    smaller index."""
-    order = np.lexsort((np.arange(e.n), -sp.y_diag(e)))
-    return [int(a) for a in order[:b]]
-
-
 # (n, s, m) from undersampled to oversampled; t_max and s_prime vary by case
 TP_BLOCK_CELLS = [(n, s, m) for n in (30, 64, 120, 200) for s in (2, 5, 9)
                   for m in (int(1.2 * s * np.log(n)), 4 * s * int(np.log(n)),
@@ -459,7 +463,7 @@ class TestTpRestarts:
             rng = sp.trial_rng(sp.derive_trial_seed(91, n, s, m, 0))
             x = sp.sample_signal(n, s, rng)
             e = sp.measure(x, m, rng)
-            anchors = diagonal_anchors(e, 4)
+            anchors = sp.diagonal_anchors(sp.y_diag(e), 4)
             block = sp.tp_restarts(e, s, cfg, anchors)
             assert len(block) == len(anchors)
             for a, got in zip(anchors, block):
@@ -487,7 +491,7 @@ class TestTpRestarts:
             rng = sp.trial_rng(sp.derive_trial_seed(91, n, s, m, 0))
             x = sp.sample_signal(n, s, rng)
             e = sp.measure(x, m, rng)
-            anchors = diagonal_anchors(e, 4)
+            anchors = sp.diagonal_anchors(sp.y_diag(e), 4)
             for a, got in zip(anchors, sp.tp_restarts(e, s, None, anchors)):
                 seed = sp.modified_spectral_init(e, s, anchor=a)
                 fired.add(got.xhat.tobytes() == seed.xhat.tobytes())
@@ -503,7 +507,7 @@ class TestTpRestarts:
             assert got.degenerate and want.degenerate
             assert got.xhat.tobytes() == want.xhat.tobytes()
             np.testing.assert_array_equal(got.support, want.support)
-            assert got.j0 == want.j0
+            assert got.j0 == want.j0 == a
             assert got.iterations_run == want.iterations_run == 0
 
     def test_zero_step_flags_only_that_column(self, small_instance,
@@ -521,7 +525,7 @@ class TestTpRestarts:
                 out[:, 1] = 0.0
             return out
 
-        anchors = diagonal_anchors(e, 3)
+        anchors = sp.diagonal_anchors(sp.y_diag(e), 3)
         monkeypatch.setattr(initializers, "ybar_matvec", vanishing)
         block = sp.tp_restarts(e, x.s, sp.InitConfig(t_max=5), anchors)
         seed = sp.modified_spectral_init(e, x.s, anchor=anchors[1])
@@ -532,11 +536,12 @@ class TestTpRestarts:
 
     def test_tp_init_is_the_one_anchor_block(self, small_instance):
         x, e = small_instance
-        for anchor in (None, 5):
-            one = sp.tp_init(e, x.s, anchor=anchor)
-            (blk,) = sp.tp_restarts(e, x.s, None, (anchor,))
-            assert one.xhat.tobytes() == blk.xhat.tobytes()
-            assert one.iterations_run == blk.iterations_run
+        one = sp.tp_init(e, x.s)
+        first = sp.diagonal_anchors(sp.y_diag(e), 1)
+        (blk,) = sp.tp_restarts(e, x.s, None, first)
+        assert one.xhat.tobytes() == blk.xhat.tobytes()
+        assert one.iterations_run == blk.iterations_run
+        assert one.j0 == blk.j0 == sp.modified_spectral_init(e, x.s).j0
 
     def test_multi_restart_matches_per_anchor_loop(self):
         for n, s, m in [(64, 5, 80), (120, 9, 144), (200, 9, 180),
@@ -547,8 +552,9 @@ class TestTpRestarts:
             cfg = sp.SolverConfigs(restarts=6)
             rep = sp.solve_multi_restart(e, s, cfg)
             best = None
-            for b, a in enumerate(diagonal_anchors(e, 6), start=1):
-                est = sp.tp_init(e, s, cfg.init, anchor=a)
+            anchors = sp.diagonal_anchors(sp.y_diag(e), 6)
+            for b, a in enumerate(anchors, start=1):
+                (est,) = sp.tp_restarts(e, s, cfg.init, [a])
                 refined = sp.htp_run(e, est.xhat, s, cfg.htp)
                 score = sp.gradient_residual(e, refined.x)
                 if best is None or score < best[0]:

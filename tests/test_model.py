@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 
 import sparsepr as sp
-from sparsepr.model import TruncationMoments, apply_sensing, sgn
+from sparsepr.model import apply_sensing, sgn
 
 
 class TestSparseSignal:
@@ -201,6 +201,13 @@ class TestTruncatedGaussianMoment:
         assert sp.truncated_gaussian_moment(4, 0.5, 10) == pytest.approx(
             2.995, abs=1e-3)
 
+    def test_reference_band_bounds(self):
+        alpha = sp.truncated_gaussian_moment(2, 0.5, 10.0)
+        beta = sp.truncated_gaussian_moment(4, 0.5, 10.0)
+        assert 0 <= alpha <= 1
+        assert 0 <= beta <= 3
+        assert beta / alpha >= 2
+
     def test_full_second_moment(self):
         assert sp.truncated_gaussian_moment(2, 0.0, 40.0) == pytest.approx(
             1.0, abs=1e-9)
@@ -225,10 +232,3 @@ class TestTruncatedGaussianMoment:
         with pytest.raises(ValueError):
             sp.truncated_gaussian_moment(2, 1.0, 1.0)
 
-
-class TestTruncationMoments:
-    def test_for_band(self):
-        tm = TruncationMoments.for_band(0.5, 10.0)
-        assert 0 <= tm.alpha <= 1
-        assert 0 <= tm.beta <= 3
-        assert tm.beta / tm.alpha >= 2

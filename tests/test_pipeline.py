@@ -60,10 +60,11 @@ class TestSolveMultiRestart:
 
     def test_first_anchor_matches_argmax_rule(self, solved_instance):
         x, e = solved_instance
-        _, j0 = sp.support_j0(e, x.s)
         diag = y_diag(e)
-        order = np.lexsort((np.arange(e.n), -diag))
-        assert order[0] == j0
+        (first,) = sp.diagonal_anchors(diag, 1)
+        assert first == np.argmax(diag)
+        assert sp.modified_spectral_init(e, x.s).j0 == first
+        assert sp.tp_init(e, x.s).j0 == first
 
     def test_exact_recovery_has_zero_residual_and_wins(self, solved_instance):
         x, e = solved_instance

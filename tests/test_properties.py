@@ -3,8 +3,9 @@
 Grid configs arrive as JSON and instances as SPR1 text. The CLI maps
 ConfigError and InstanceFormatError to exit code 2, so any other
 exception from these two readers would end in a traceback. No solver
-runs here. The top-k mask that TP and HTP select with is checked against
-the full-sort rule on tie-heavy inputs.
+runs here. The top-k mask that TP and HTP select with, and the diagonal
+anchor order of the anchored initializers, are checked against the
+full-sort rule on tie-heavy inputs.
 """
 
 import contextlib
@@ -23,8 +24,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from sparsepr import (HtpConfig, InitConfig, cli, harness,  # noqa: E402
-                      top_magnitude_mask)
+from sparsepr import (HtpConfig, InitConfig, cli,  # noqa: E402
+                      diagonal_anchors, harness, top_magnitude_mask)
 from sparsepr.harness import ConfigError, grid_from_dict  # noqa: E402
 from sparsepr.instance_io import (InstanceFormatError,  # noqa: E402
                                   load_instance)
@@ -226,3 +227,21 @@ def test_top_magnitude_mask_is_the_lexsort_rule(case):
     columns = values.reshape(values.shape[0], -1)
     want = np.column_stack([_lexsort_mask(c, k) for c in columns.T])
     np.testing.assert_array_equal(mask.reshape(want.shape), want)
+
+
+@st.composite
+def tie_heavy_diagonals(draw):
+    """(diag, b): a nonnegative integer diagonal with many ties, and b from
+    1 to n."""
+    n = draw(st.integers(1, 12))
+    diag = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return np.array(diag, dtype=float), draw(st.integers(1, n))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(tie_heavy_diagonals())
+def test_diagonal_anchors_is_the_sort_rule(case):
+    d, b = case
+    want = sorted(range(d.size), key=lambda j: (-d[j], j))[:b]
+    assert diagonal_anchors(d, b).tolist() == want
+    assert diagonal_anchors(d, 1)[0] == np.argmax(d)
