@@ -2,10 +2,10 @@
 
 The anchored support rule bets on j0 = argmax of the surrogate diagonal;
 on unlucky draws j0 lands off the true support and the single-shot
-pipeline fails. Restarting from the b largest diagonal entries and
-keeping the candidate with the smallest gradient-norm residual fixes
-most such failures. This script hunts for an instance where plain TP
-fails, then shows TP-MR recovering it.
+pipeline fails. Restarting from the b largest diagonal entries, in
+order until HTP converges, and keeping the candidate with the smallest
+gradient-norm residual fixes most such failures. This script hunts for
+an instance where plain TP fails, then shows TP-MR recovering it.
 """
 
 import sparsepr as sp
@@ -36,5 +36,6 @@ else:
                                      truth=xd)
         status = "recovered" if rep.rel_error <= 1e-3 else "failed"
         print(f"  b={b:2d}: {status}, rel err {rep.rel_error:.2e}, "
-              f"chosen restart {rep.chosen_restart}, selection residual "
+              f"restarts run {rep.restarts_run}, chosen restart "
+              f"{rep.chosen_restart}, selection residual "
               f"{rep.selection_residual:.2e}")

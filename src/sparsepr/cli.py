@@ -150,6 +150,7 @@ def _cmd_solve(args) -> int:
         "iterations": report.iterations,
         "htp_stop": report.htp_stop,
         "chosen_restart": report.chosen_restart,
+        "restarts_run": report.restarts_run,
         "degenerate": report.degenerate,
         "init_elapsed_s": report.init_elapsed,
         "refine_elapsed_s": report.refine_elapsed,

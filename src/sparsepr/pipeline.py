@@ -2,9 +2,11 @@
 
 ``solve_two_stage`` runs one initializer followed by HTP refinement.
 ``solve_multi_restart`` reruns the truncated-power pipeline from the b
-largest diagonal anchors and keeps the candidate with the smallest
-gradient-norm residual ||A^T (A x - y .* sgn(A x))||_2; for nonnegative y
-this matches selecting on |y| .* sign(A x).
+largest diagonal anchors, in anchor order, until HTP converges on one of
+them, and keeps the candidate with the smallest gradient-norm residual
+||A^T (A x - y .* sgn(A x))||_2 among the restarts that ran; for
+nonnegative y this matches selecting on |y| .* sign(A x). Restart 1 is
+the ``tp`` solve; TP for the other restarts runs only if it fails.
 """
 
 from __future__ import annotations
@@ -58,9 +60,11 @@ class SolveReport:
     init_dist and rel_error are sign-invariant relative errors against the
     ground truth and are None when no truth was supplied. Elapsed times
     are seconds. For multi-restart runs init_elapsed is the wall time of
-    the one block TP run over all restarts, refine_elapsed is summed over
-    restarts, and iterations/init_dist/htp_stop refer to the selected
-    restart. htp_stop is why HTP stopped (one of ``refine.STOPS``).
+    restart 1's TP run plus that of the block TP run over the other
+    restarts, if it ran; refine_elapsed is summed over the restarts that
+    ran; restarts_run counts them; and iterations/init_dist/htp_stop refer
+    to the selected restart. htp_stop is why HTP stopped (one of
+    ``refine.STOPS``).
     """
 
     x: np.ndarray
@@ -74,6 +78,7 @@ class SolveReport:
     chosen_restart: int | None = None
     selection_residual: float | None = None
     htp_stop: str | None = None
+    restarts_run: int | None = None
 
 
 def gradient_residual(e: Ensemble, x) -> float:
@@ -118,10 +123,18 @@ def solve_multi_restart(e: Ensemble, s: int,
     """Truncated power method with multiple restarts (b = cfg.restarts).
 
     Restart b' anchors the support rule at the b'-th of
-    ``diagonal_anchors``. TP runs for all restarts as
-    one block (``tp_restarts``), then HTP refines each start in anchor
-    order, and the candidate minimizing the gradient-norm residual wins;
+    ``diagonal_anchors``. Restarts run in anchor order and stop at the
+    first whose HTP run converges. Restart 1's TP runs alone, as in
+    ``tp_init``; only if its HTP run does not converge does TP run for
+    the other restarts as one block (``tp_restarts``). Among the restarts
+    that ran, the candidate minimizing the gradient-norm residual wins;
     ties keep the smallest b'. chosen_restart is the winning b', 1-based.
+
+    A converged restart fits the observations to ``refine.RESIDUAL_TOL``,
+    and its score is tiny next to that of any restart that did not
+    converge. Where the s-sparse fit is unique up to sign, converged
+    restarts end on the same x and tie on score, so stopping at the first
+    picks what running every restart would pick.
     """
     cfg = cfg or SolverConfigs()
     if cfg.restarts > e.n:
@@ -129,27 +142,32 @@ def solve_multi_restart(e: Ensemble, s: int,
 
     anchors = diagonal_anchors(y_diag(e), cfg.restarts)
 
-    t0 = time.perf_counter()
-    starts = tp_restarts(e, s, cfg.init, anchors)
-    init_elapsed = time.perf_counter() - t0
+    runs = []  # (score, start, refined) of each restart that ran
+    init_elapsed = refine_elapsed = 0.0
+    for block in (anchors[:1], anchors[1:]):
+        if not block.size or (runs and runs[-1][2].converged):
+            break
+        t0 = time.perf_counter()
+        starts = tp_restarts(e, s, cfg.init, block)
+        init_elapsed += time.perf_counter() - t0
+        for est in starts:
+            t1 = time.perf_counter()
+            refined = htp_run(e, est.xhat, s, cfg.htp)
+            refine_elapsed += time.perf_counter() - t1
+            runs.append((gradient_residual(e, refined.x), est, refined))
+            if refined.converged:
+                break
 
-    best = None
-    refine_total = 0.0
-    for b_index, est in enumerate(starts, start=1):
-        t1 = time.perf_counter()
-        refined = htp_run(e, est.xhat, s, cfg.htp)
-        refine_total += time.perf_counter() - t1
-        score = gradient_residual(e, refined.x)
-        if best is None or score < best[0]:
-            best = (score, b_index, est, refined)
-
-    score, b_min, est, refined = best
+    # min keeps the first of equal scores
+    b_min = min(range(len(runs)), key=lambda i: runs[i][0])
+    score, est, refined = runs[b_min]
     return SolveReport(x=refined.x, method="tp_mr",
                        init_dist=_relative(est.xhat, truth),
                        rel_error=_relative(refined.x, truth),
                        init_elapsed=init_elapsed,
-                       refine_elapsed=refine_total,
+                       refine_elapsed=refine_elapsed,
                        iterations=refined.iterations,
                        degenerate=est.degenerate,
-                       chosen_restart=b_min,
-                       selection_residual=score, htp_stop=refined.stop)
+                       chosen_restart=b_min + 1,
+                       selection_residual=score, htp_stop=refined.stop,
+                       restarts_run=len(runs))

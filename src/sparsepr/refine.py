@@ -32,8 +32,9 @@ RESIDUAL_TOL = 1e-12
 SUPPORT_STALL = 2
 
 # why htp_run stopped: the convergence rule fired, a step returned its
-# input bit for bit without converging, or max_iters ran out
-STOPS = ("converged", "fixed_point", "cap")
+# input bit for bit without converging, a step returned the iterate of
+# two steps before (a 2-cycle that never converges), or max_iters ran out
+STOPS = ("converged", "fixed_point", "cycle", "cap")
 
 
 @dataclass(frozen=True)
@@ -94,14 +95,18 @@ def htp_step(e: Ensemble, x_k, s: int,
 
 def htp_run(e: Ensemble, x0, s: int,
             cfg: HtpConfig | None = None) -> RefineResult:
-    """Run HTP from x0 until it converges, reaches a fixed point or hits
-    max_iters.
+    """Run HTP from x0 until it converges, reaches a fixed point or a
+    2-cycle, or hits max_iters.
 
     HTP is a deterministic map of the iterate, so once a step returns its
     input bit for bit every later step would return it again, with the
-    same support and residual. The run stops there with the x, residual
-    and convergence verdict that running on to the cap would give; only
-    the step count and the residual history are shorter.
+    same support and residual. Likewise once step t returns the iterate of
+    step t-2, later steps alternate between the last two iterates and
+    their residuals; when neither residual is small enough to converge,
+    the run would end at the cap on whichever of the two the parity of
+    the remaining steps picks. Both exits return the x, residual and
+    convergence verdict that running on to the cap would give; only the
+    step count and the residual history are shorter.
     """
     cfg = cfg or HtpConfig()
     x = np.asarray(x0, dtype=float).copy()
@@ -112,9 +117,10 @@ def htp_run(e: Ensemble, x0, s: int,
     residuals = []
     streak = 0
     stop = "cap"
+    x_prev = None
 
     for _ in range(cfg.max_iters):
-        x_prev = x
+        x_prev2, x_prev = x_prev, x
         x, support = htp_step(e, x, s, cfg)
         # ||y - |A x||| is ||A x - y .* sgn(A x)|| bit for bit: the
         # entries agree up to sign
@@ -126,10 +132,21 @@ def htp_run(e: Ensemble, x0, s: int,
         if streak >= SUPPORT_STALL and rel <= RESIDUAL_TOL:
             stop = "converged"
             break
+        # at the cap there is no next step, so no repeat to skip
+        left = cfg.max_iters - len(residuals)
+        if not left:
+            break
         # the next step would repeat this support, so the rule above then
-        # decides on rel alone; at the cap there is no next step
-        if len(residuals) < cfg.max_iters and x.tobytes() == x_prev.tobytes():
+        # decides on rel alone
+        if x.tobytes() == x_prev.tobytes():
             stop = "converged" if rel <= RESIDUAL_TOL else "fixed_point"
+            break
+        if (x_prev2 is not None and x.tobytes() == x_prev2.tobytes()
+                and min(residuals[-2:]) > RESIDUAL_TOL):
+            if left % 2:  # the cap lands on the other iterate of the cycle
+                x = x_prev
+                residuals.append(residuals[-2])
+            stop = "cycle"
             break
 
     return RefineResult(x=x, residual_history=np.asarray(residuals),

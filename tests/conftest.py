@@ -62,6 +62,37 @@ def htp_reference():
     return reference_htp_run
 
 
+def reference_multi_restart(e, s, cfg=None, truth=None):
+    """tp_mr running every restart: TP from all b anchors as one block,
+    HTP from every start, and the smallest gradient residual wins, ties
+    to the smaller index."""
+    cfg = cfg or sp.SolverConfigs()
+    anchors = sp.diagonal_anchors(sp.y_diag(e), cfg.restarts)
+    best = None
+    for b_index, est in enumerate(sp.tp_restarts(e, s, cfg.init, anchors),
+                                  start=1):
+        refined = sp.htp_run(e, est.xhat, s, cfg.htp)
+        score = sp.gradient_residual(e, refined.x)
+        if best is None or score < best[0]:
+            best = (score, b_index, est, refined)
+    score, b_min, est, refined = best
+    return sp.SolveReport(
+        x=refined.x, method="tp_mr",
+        init_dist=None if truth is None else sp.relative_error(est.xhat,
+                                                               truth),
+        rel_error=None if truth is None else sp.relative_error(refined.x,
+                                                               truth),
+        init_elapsed=0.0, refine_elapsed=0.0, iterations=refined.iterations,
+        degenerate=est.degenerate, chosen_restart=b_min,
+        selection_residual=score, htp_stop=refined.stop,
+        restarts_run=cfg.restarts)
+
+
+@pytest.fixture
+def multi_restart_reference():
+    return reference_multi_restart
+
+
 def _lexsort_top(values, k):
     # the top-k rule as a full sort: descending |value|, then index
     mag = np.abs(np.asarray(values, dtype=float))

@@ -219,7 +219,7 @@ class TestSolve:
         assert code == 0
         report = json.loads(out.getvalue().splitlines()[1])
         assert report["method"] == "tp_mr"
-        assert 1 <= report["chosen_restart"] <= 20
+        assert 1 <= report["chosen_restart"] <= report["restarts_run"] <= 20
 
     @pytest.mark.parametrize("method", ["tp", "tpmr"])
     def test_reports_why_htp_stopped(self, tmp_path, method):
@@ -234,6 +234,8 @@ class TestSolve:
         assert code == 0
         report = json.loads(out.getvalue().splitlines()[1])
         assert report["htp_stop"] == "converged"
+        # restart 1 is the tp solve, so a converged tp_mr stops there
+        assert report["restarts_run"] == (1 if method == "tpmr" else None)
 
     def test_malformed_instance_exits_2(self, tmp_path):
         path = tmp_path / "bad.spr1"

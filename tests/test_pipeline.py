@@ -116,6 +116,108 @@ class TestSolveMultiRestart:
         assert two.htp_stop == "converged"
 
 
+def _instance(n, s, m, t, seed=11):
+    rng = sp.trial_rng(sp.derive_trial_seed(seed, n, s, m, t))
+    x = sp.sample_signal(n, s, rng)
+    return x, sp.measure(x, m, rng)
+
+
+# (n, s, m) cells of grid seed 11, 4 trials each: restart 1 converges in
+# 14 of the 32 instances, a later restart in 8 and none in 10
+EQUIVALENCE_CELLS = [(200, 5, 100), (200, 10, 100), (200, 20, 100),
+                     (200, 10, 200), (200, 20, 200), (200, 20, 400),
+                     (120, 6, 60), (120, 6, 40)]
+
+
+class TestEarlyStop:
+    def test_same_restart_as_running_every_restart(
+            self, multi_restart_reference):
+        outcomes = set()
+        for n, s, m in EQUIVALENCE_CELLS:
+            for t in range(4):
+                x, e = _instance(n, s, m, t)
+                xd = x.to_dense()
+                rep = sp.solve_multi_restart(e, s, truth=xd)
+                ref = multi_restart_reference(e, s, truth=xd)
+                assert rep.chosen_restart == ref.chosen_restart
+                assert (rep.rel_error <= 1e-3) == (ref.rel_error <= 1e-3)
+                assert rep.iterations == ref.iterations
+                assert np.max(np.abs(rep.x - ref.x)) <= 1e-12 * e.nu
+                if rep.htp_stop == "converged":
+                    outcomes.add("first" if rep.restarts_run == 1
+                                 else "later")
+                else:
+                    assert rep.restarts_run == ref.restarts_run == 20
+                    outcomes.add("none")
+                if rep.restarts_run == 1:
+                    assert rep.x.tobytes() == ref.x.tobytes()
+        assert outcomes == {"first", "later", "none"}
+
+    def test_converged_tp_is_restart_one(self):
+        checked = 0
+        for n, s, m in EQUIVALENCE_CELLS:
+            for t in range(4):
+                x, e = _instance(n, s, m, t)
+                xd = x.to_dense()
+                tp = sp.solve_two_stage(e, s, "tp", truth=xd)
+                if tp.htp_stop != "converged":
+                    continue
+                mr = sp.solve_multi_restart(e, s, truth=xd)
+                assert mr.x.tobytes() == tp.x.tobytes()
+                assert mr.init_dist == tp.init_dist
+                assert mr.rel_error == tp.rel_error
+                assert mr.iterations == tp.iterations
+                assert mr.htp_stop == tp.htp_stop
+                assert (mr.chosen_restart, mr.restarts_run) == (1, 1)
+                checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("cell, first_converged", [
+        ((200, 20, 400, 0), 1),  # restart 1 converges
+        ((200, 20, 200, 1), 3),  # restart 3 is the first to converge
+        ((200, 20, 100, 0), None),  # no restart converges
+    ])
+    def test_no_work_after_the_first_converged_restart(
+            self, cell, first_converged, monkeypatch):
+        x, e = _instance(*cell)
+        tp_blocks, htp_runs = [], []
+
+        def counting_tp(e, s, cfg, anchors):
+            tp_blocks.append(len(anchors))
+            return sp.tp_restarts(e, s, cfg, anchors)
+
+        def counting_htp(e, x0, s, cfg=None):
+            result = sp.htp_run(e, x0, s, cfg)
+            htp_runs.append(result.converged)
+            return result
+
+        monkeypatch.setattr(pipeline, "tp_restarts", counting_tp)
+        monkeypatch.setattr(pipeline, "htp_run", counting_htp)
+        rep = sp.solve_multi_restart(e, cell[1])
+        if first_converged is None:
+            assert tp_blocks == [1, 19]
+            assert htp_runs == [False] * 20
+        else:
+            assert tp_blocks == ([1] if first_converged == 1 else [1, 19])
+            assert htp_runs == [False] * (first_converged - 1) + [True]
+        assert rep.restarts_run == len(htp_runs)
+
+    def test_one_restart_runs_no_block(self, monkeypatch):
+        # restart 1 fails and there is no other anchor to try
+        x, e = _instance(200, 20, 100, 0)
+        tp_blocks = []
+
+        def counting_tp(e, s, cfg, anchors):
+            tp_blocks.append(len(anchors))
+            return sp.tp_restarts(e, s, cfg, anchors)
+
+        monkeypatch.setattr(pipeline, "tp_restarts", counting_tp)
+        rep = sp.solve_multi_restart(e, 20, sp.SolverConfigs(restarts=1))
+        assert tp_blocks == [1]
+        assert (rep.chosen_restart, rep.restarts_run) == (1, 1)
+        assert rep.htp_stop != "converged"
+
+
 class TestGradientResidual:
     def test_zero_for_perfect_fit(self, solved_instance):
         x, e = solved_instance

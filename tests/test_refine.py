@@ -212,3 +212,84 @@ class TestHtpConfig:
     def test_iteration_floor(self):
         with pytest.raises(ValueError):
             sp.HtpConfig(max_iters=0)
+
+
+# (s, m, trial, initializer): the n=200 runs of grid seed 11 where HTP
+# falls into an exact 2-cycle and, without the cycle exit, runs to the cap
+CYCLE_CASES = [(10, 100, 5, "modified_spectral"),
+               (10, 100, 7, "modified_spectral"),
+               (20, 100, 3, "modified_spectral"),
+               (20, 200, 2, "modified_spectral"),
+               (10, 100, 5, "tp"), (20, 100, 3, "tp"), (20, 200, 2, "tp")]
+
+_STARTS = {"modified_spectral": sp.modified_spectral_init, "tp": sp.tp_init}
+
+
+class TestCycleExit:
+    @pytest.mark.parametrize("max_iters", [100, 101])
+    @pytest.mark.parametrize("s, m, t, init", CYCLE_CASES)
+    def test_same_estimate_as_running_to_the_cap(self, s, m, t, init,
+                                                 max_iters, htp_reference):
+        rng = sp.trial_rng(sp.derive_trial_seed(11, 200, s, m, t))
+        x = sp.sample_signal(200, s, rng)
+        e = sp.measure(x, m, rng)
+        x0 = _STARTS[init](e, s).xhat
+        cfg = sp.HtpConfig(max_iters=max_iters)
+        res = sp.htp_run(e, x0, s, cfg)
+        ref = htp_reference(e, x0, s, cfg)
+        assert (ref.stop, ref.iterations) == ("cap", max_iters)
+        assert res.stop == "cycle" and not res.converged
+        assert res.iterations <= 20
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert res.final_residual == ref.final_residual
+        np.testing.assert_array_equal(
+            res.residual_history, ref.residual_history[:res.iterations])
+
+    @pytest.mark.parametrize("max_iters", [7, 8])
+    def test_parity_picks_the_iterate_at_the_cap(self, max_iters,
+                                                 monkeypatch, htp_reference):
+        rng = sp.trial_rng(83)
+        x = sp.sample_signal(30, 3, rng)
+        e = sp.measure(x, 60, rng)
+        a = x.to_dense()
+        a[x.support[0]] *= 2.0
+        b = x.to_dense()
+        b[x.support[1]] *= 3.0
+
+        def swap(e, x_k, s, cfg=None):
+            x_next = b if np.array_equal(x_k, a) else a
+            return x_next.copy(), x.support
+
+        monkeypatch.setattr(refine, "htp_step", swap)
+        cfg = sp.HtpConfig(max_iters=max_iters)
+        res = sp.htp_run(e, np.zeros(30), 3, cfg)
+        ref = htp_reference(e, np.zeros(30), 3, cfg)
+        # a, b, a: the cycle shows at step 3 and the cap is at 7 or 8
+        assert res.stop == "cycle"
+        assert res.iterations == (3 if max_iters == 7 else 4)
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert res.x.tobytes() == (a if max_iters % 2 else b).tobytes()
+        assert res.final_residual == ref.final_residual
+
+    def test_cycle_through_a_solution_runs_to_the_cap(self, monkeypatch,
+                                                      htp_reference):
+        # one iterate of the cycle fits the data, but the support changes
+        # every step, so the stall rule never fires
+        rng = sp.trial_rng(84)
+        x = sp.sample_signal(30, 3, rng)
+        e = sp.measure(x, 60, rng)
+        truth = x.to_dense()
+        off = np.zeros(30)
+        off[np.setdiff1d(np.arange(30), x.support)[:3]] = 1.0
+
+        def swap(e, x_k, s, cfg=None):
+            x_next = off if np.array_equal(x_k, truth) else truth
+            return x_next.copy(), np.flatnonzero(x_next)
+
+        monkeypatch.setattr(refine, "htp_step", swap)
+        cfg = sp.HtpConfig(max_iters=9)
+        res = sp.htp_run(e, np.zeros(30), 3, cfg)
+        ref = htp_reference(e, np.zeros(30), 3, cfg)
+        assert (res.stop, res.iterations) == ("cap", 9)
+        assert res.x.tobytes() == ref.x.tobytes() == truth.tobytes()
+        assert not res.converged and not ref.converged
