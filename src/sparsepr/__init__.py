@@ -13,8 +13,8 @@ from .harness import (CellSummary, ExperimentGrid, GridResult, TrialRecord,
 from .initializers import (InitConfig, InitEstimate, YbarOperator,
                            diagonal_anchors, modified_spectral_init,
                            restricted_ybar, spectral_init, support_diag,
-                           top_magnitude_mask, tp_init, tp_restarts, truncate,
-                           y_column, y_diag, ybar_matvec, ybar_operator)
+                           top_magnitude_mask, tp_init, truncate, y_column,
+                           y_diag, ybar_matvec, ybar_operator)
 from .instance_io import InstanceFormatError, load_instance, save_instance
 from .linalg import restricted_least_squares, top_eigenvector
 from .model import (Ensemble, SparseSignal, dist, measure, norm_estimate,
@@ -36,7 +36,7 @@ __all__ = [
     "restricted_least_squares", "restricted_ybar", "run_grid", "run_trial",
     "sample_signal", "save_instance", "solve", "solve_multi_restart",
     "solve_two_stage", "spectral_init", "summary_table", "support_diag",
-    "top_eigenvector", "top_magnitude_mask", "tp_init",
-    "tp_restarts", "trial_rng", "truncate", "truncated_gaussian_moment",
+    "top_eigenvector", "top_magnitude_mask", "tp_init", "trial_rng",
+    "truncate", "truncated_gaussian_moment",
     "wilson_interval", "y_column", "y_diag", "ybar_matvec", "ybar_operator",
 ]

@@ -105,15 +105,16 @@ def _cmd_trial(args) -> int:
 
 
 def _resolve_threads(flag_value) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(THREADS_ENV)
-    if env is None:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer") from None
+    # checked before --out is opened, so a refused count leaves no file
+    threads = flag_value
+    if threads is None:
+        try:
+            threads = int(os.environ.get(THREADS_ENV, "1"))
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV} must be an integer") from None
+    if threads < 1:
+        raise ValueError("the worker count must be positive")
+    return threads
 
 
 def _cmd_grid(args) -> int:
@@ -126,9 +127,12 @@ def _cmd_grid(args) -> int:
             raise ValueError(f"config is not valid JSON: {exc}") from None
     grid = grid_from_dict(data)
     threads = _resolve_threads(args.threads)
-    result = run_grid(grid, parallelism=threads,
-                      record_timing=not args.no_timing)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    # --out is opened before any solve, so an unwritable path fails first;
+    # appending leaves an existing file whole until the new CSV replaces it
+    with open(args.out, "a", encoding="utf-8") as fh:
+        result = run_grid(grid, parallelism=threads,
+                          record_timing=not args.no_timing)
+        fh.truncate(0)
         fh.write(emit_csv(result.records))
     print(summary_table(result.cells))
     print(f"{len(result.records)} records written to {args.out}")

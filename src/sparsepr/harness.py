@@ -91,7 +91,8 @@ class ExperimentGrid:
 
     Checked when built: n, trials, seed and every s and m are integers
     (integral floats become ints), success_threshold is a finite number,
-    and a value out of range raises ConfigError.
+    and a value out of range, or repeated within s_list, m_list or
+    methods, raises ConfigError.
     """
 
     n: int
@@ -134,6 +135,12 @@ class ExperimentGrid:
         if "tp_mr" in self.methods and self.configs.restarts > self.n:
             raise ConfigError("more restarts than coordinates: "
                               f"{self.configs.restarts} > n = {self.n}")
+        for name in ("s_list", "m_list", "methods"):
+            # a repeated entry would solve the same trials again and count
+            # them twice in the cell's summary
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} repeats a value: {list(values)}")
 
 
 # thread-count (getter, setter) names of upstream OpenBLAS and of the
@@ -247,8 +254,11 @@ def _cell_task(args):
 
 
 def _workers(requested: int, tasks: int) -> int:
-    """Pool size: never more workers than tasks or CPUs."""
-    return max(1, min(requested, tasks, os.cpu_count() or 1))
+    """Pool size: never more workers than tasks or CPUs this process may
+    run on (its affinity mask, where the platform reports one)."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(requested, tasks, cpus))
 
 
 @dataclass(frozen=True)
@@ -332,6 +342,7 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1,
     the caller and in every worker. Records come back sorted by (method,
     s, m, trial_index), independent of the worker count.
     """
+    parallelism = _integer(parallelism, "parallelism")
     if parallelism < 1:
         raise ConfigError("parallelism must be positive")
     tasks = [(grid, record_timing, s, m, t)

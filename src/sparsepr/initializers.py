@@ -15,10 +15,9 @@ Three initializers are provided:
 * ``modified_spectral_init``: anchor j0 = the first of
   ``diagonal_anchors`` (argmax Y_jj) unless one is given, support from the
   top-s entries of |Y e_j0|.
-* ``tp_init``: modified-spectral start followed by truncated power
-  iterations w_t = T_s'(Ybar w_{t-1}) / ||.||, then a final projection
-  back to s-sparse vectors. ``tp_restarts`` runs it from several anchors
-  as one block iteration; ``tp_init`` is its one-anchor case.
+* ``tp_init``: modified-spectral start, at the same anchor, followed by
+  truncated power iterations w_t = T_s'(Ybar w_{t-1}) / ||.|| on one
+  vector, then a final projection back to s-sparse vectors.
 
 Each returns nu times a unit s-sparse vector, so the output has norm nu.
 """
@@ -31,7 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import top_eigenvector
-from .model import ConfigError, Ensemble, _integer, _real, apply_sensing
+from .model import (ConfigError, Ensemble, _integer, _real, apply_sensing,
+                    dist)
 
 _CONTRACTION = 0.98   # per-iteration factor the default budget assumes
 _BASIN = 0.125        # refinement basin radius the budget targets
@@ -94,27 +94,25 @@ class InitEstimate:
 
 
 def top_magnitude_mask(values, k: int) -> np.ndarray:
-    """Mask of the k largest |values| along axis 0; ties go to the smaller
-    index.
-
-    A 2-D input is a block of columns, each masked on its own. k >= the
-    length of axis 0 keeps everything.
-    """
+    """Mask of the k largest |values| of a vector; ties go to the smaller
+    index. k >= len(values) keeps everything."""
     mag = np.abs(np.asarray(values, dtype=float))
+    if mag.ndim != 1:
+        raise ValueError("values must be a vector")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    n = mag.shape[0]
+    n = mag.size
     if k >= n:
-        return np.ones(mag.shape, dtype=bool)
+        return np.ones(n, dtype=bool)
     if k == 0:
-        return np.zeros(mag.shape, dtype=bool)
-    kth = np.partition(mag, n - k, axis=0)[n - k]  # k-th largest per column
+        return np.zeros(n, dtype=bool)
+    kth = np.partition(mag, n - k)[n - k]  # the k-th largest
     mask = mag > kth
     at_kth = mag == kth
     # the places left after the strict winners go to the ties at the cut,
     # smaller indices first
-    room = k - np.count_nonzero(mask, axis=0)
-    return mask | (at_kth & (np.cumsum(at_kth, axis=0) <= room))
+    room = k - np.count_nonzero(mask)
+    return mask | (at_kth & (np.cumsum(at_kth) <= room))
 
 
 def top_magnitude_indices(values, k: int) -> np.ndarray:
@@ -124,8 +122,8 @@ def top_magnitude_indices(values, k: int) -> np.ndarray:
 
 
 def truncate(w, k: int) -> np.ndarray:
-    """Keep the k largest-magnitude entries of w (of each column of a
-    block), zero the rest; ties at the cut go to the smaller index."""
+    """Keep the k largest-magnitude entries of the vector w, zero the
+    rest; ties at the cut go to the smaller index."""
     w = np.asarray(w, dtype=float)
     return np.where(top_magnitude_mask(w, k), w, 0.0)
 
@@ -181,14 +179,12 @@ def ybar_operator(e: Ensemble, l: float, u: float) -> YbarOperator:
 
 
 def ybar_matvec(op: YbarOperator, w) -> np.ndarray:
-    """Product Ybar w for a vector or an n x k block w, without
-    materializing Ybar: two products with the in-band rows."""
+    """Product Ybar w of a vector w, without materializing Ybar: two
+    products with the in-band rows."""
     w = np.asarray(w, dtype=float)
-    if w.ndim not in (1, 2) or w.shape[0] != op.rows.shape[1]:
+    if w.shape != op.rows.shape[1:]:
         raise ValueError("vector length must match the signal dimension")
-    z = op.rows @ w
-    z *= op.weights if w.ndim == 1 else op.weights[:, None]
-    return op.rows.T @ z
+    return op.rows.T @ (op.weights * (op.rows @ w))
 
 
 def restricted_ybar(e: Ensemble, support, l: float, u: float) -> np.ndarray:
@@ -243,80 +239,50 @@ def magnitude_misfit(e: Ensemble, xhat) -> float:
     return float(np.linalg.norm(e.y - np.abs(apply_sensing(e, xhat))))
 
 
-def _projected(e: Ensemble, s: int, seed: InitEstimate, w: np.ndarray,
-               iterations: int) -> InitEstimate:
-    # project the final iterate to s-sparse, keeping the start if it
-    # explains the observations better
-    keep = top_magnitude_indices(w, s)
-    xs = np.zeros(e.n)
-    xs[keep] = w[keep]
-    xhat = e.nu * (xs / np.linalg.norm(xs))
-    if magnitude_misfit(e, xhat) > magnitude_misfit(e, seed.xhat):
-        return replace(seed, iterations_run=iterations)
-    return InitEstimate(xhat=xhat, support=keep, j0=seed.j0,
-                        degenerate=False, iterations_run=iterations)
+def tp_init(e: Ensemble, s: int, cfg: InitConfig | None = None, *,
+            anchor: int | None = None) -> InitEstimate:
+    """Truncated power method initializer.
 
+    Starts from the modified-spectral direction anchored at ``anchor`` (by
+    default the first diagonal anchor) and runs up to t_max steps of
+    w_t = T_s'(Ybar w_{t-1}) with renormalization, stopping early once the
+    sign-invariant step is at most STEP_TOL. The final iterate is
+    projected back to the s-sparse set and rescaled to norm nu.
 
-def tp_restarts(e: Ensemble, s: int, cfg: InitConfig | None,
-                anchors) -> list[InitEstimate]:
-    """Truncated power method from each anchor, run as one block.
-
-    Restart i starts from the modified-spectral direction anchored at
-    ``anchors[i]`` and runs up to t_max steps of
-    w_t = T_s'(Ybar w_{t-1}) with renormalization, stopping early once
-    the sign-invariant step is at most STEP_TOL. The restarts share one
-    n x b iterate, one Ybar product per step, and a column leaves the
-    block as soon as it stops. Each final iterate is projected back to
-    the s-sparse set and rescaled to norm nu.
-
-    An iterated estimate is kept only if it explains the observations at
-    least as well as its own start (phaseless misfit ||y - |A xhat|||_2,
-    the same data-residual selection the multi-restart driver applies
-    across restarts); at small sample sizes the iteration can drift off
-    support, and the fallback then returns the modified-spectral estimate
-    itself, with the steps taken in ``iterations_run``. A zero iterate at
-    step t returns the modified-spectral estimate flagged degenerate with
-    ``iterations_run=t``.
+    The iterated estimate is kept only if it explains the observations at
+    least as well as its start (phaseless misfit ||y - |A xhat|||_2, the
+    same data-residual selection the multi-restart driver applies across
+    restarts); at small sample sizes the iteration can drift off support,
+    and the fallback then returns the modified-spectral estimate itself,
+    with the steps taken in ``iterations_run``. A degenerate start is
+    returned as it is, and a zero iterate at step t returns the start
+    flagged degenerate with ``iterations_run=t``.
     """
     cfg = cfg or InitConfig()
     if not 1 <= s <= e.n:
         raise ValueError("need 1 <= s <= n")
     s_prime = cfg.resolve_s_prime(s, e.n)
-    seeds = [modified_spectral_init(e, s, cfg, anchor=a) for a in anchors]
-    out = list(seeds)  # a degenerate start is returned as it is
-    cols = np.array([i for i, seed in enumerate(seeds)
-                     if not seed.degenerate], dtype=np.intp)
-    if not cols.size:
-        return out
+    seed = modified_spectral_init(e, s, cfg, anchor=anchor)
+    if seed.degenerate:
+        return seed
 
     op = ybar_operator(e, cfg.l, cfg.u)
-    w = np.column_stack([seeds[i].xhat / e.nu for i in cols])
+    w = seed.xhat / e.nu
+    t = 0  # steps taken, 0 when t_max is 0
     for t in range(1, cfg.t_max + 1):
         wt = truncate(ybar_matvec(op, w), s_prime)
-        nrm = np.linalg.norm(wt, axis=0)
-        w_next = wt / np.where(nrm == 0.0, 1.0, nrm)
-        step = np.minimum(np.linalg.norm(w_next - w, axis=0),
-                          np.linalg.norm(w_next + w, axis=0))
-        stopped = (nrm == 0.0) | (step <= STEP_TOL)
-        for c in np.flatnonzero(stopped):
-            i = cols[c]
-            out[i] = (replace(seeds[i], degenerate=True, iterations_run=t)
-                      if nrm[c] == 0.0
-                      else _projected(e, s, seeds[i], w_next[:, c], t))
-        w = w_next
-        if stopped.any():
-            w = w[:, ~stopped]
-            cols = cols[~stopped]
-            if not cols.size:
-                return out
+        nrm = np.linalg.norm(wt)
+        if nrm == 0.0:
+            return replace(seed, degenerate=True, iterations_run=t)
+        w, w_prev = wt / nrm, w
+        if dist(w, w_prev) <= STEP_TOL:
+            break
 
-    for c, i in enumerate(cols):  # ran all t_max steps
-        out[i] = _projected(e, s, seeds[i], w[:, c], cfg.t_max)
-    return out
-
-
-def tp_init(e: Ensemble, s: int,
-            cfg: InitConfig | None = None) -> InitEstimate:
-    """Truncated power method initializer: ``tp_restarts`` from the first
-    diagonal anchor."""
-    return tp_restarts(e, s, cfg, diagonal_anchors(y_diag(e), 1))[0]
+    keep = top_magnitude_indices(w, s)
+    xs = np.zeros(e.n)
+    xs[keep] = w[keep]
+    xhat = e.nu * (xs / np.linalg.norm(xs))
+    if magnitude_misfit(e, xhat) > magnitude_misfit(e, seed.xhat):
+        return replace(seed, iterations_run=t)
+    return InitEstimate(xhat=xhat, support=keep, j0=seed.j0,
+                        degenerate=False, iterations_run=t)

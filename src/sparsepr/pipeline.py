@@ -6,7 +6,7 @@ largest diagonal anchors, in anchor order, until HTP converges on one of
 them, and keeps the candidate with the smallest gradient-norm residual
 ||A^T (A x - y .* sgn(A x))||_2 among the restarts that ran; for
 nonnegative y this matches selecting on |y| .* sign(A x). Restart 1 is
-the ``tp`` solve; TP for the other restarts runs only if it fails.
+the ``tp`` solve; each later restart runs only if those before it fail.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .initializers import (InitConfig, diagonal_anchors,
                            modified_spectral_init, spectral_init, tp_init,
-                           tp_restarts, y_diag)
+                           y_diag)
 from .model import (ConfigError, Ensemble, _integer, apply_sensing,
                     relative_error, sgn)
 from .refine import HtpConfig, htp_run
@@ -59,12 +59,10 @@ class SolveReport:
 
     init_dist and rel_error are sign-invariant relative errors against the
     ground truth and are None when no truth was supplied. Elapsed times
-    are seconds. For multi-restart runs init_elapsed is the wall time of
-    restart 1's TP run plus that of the block TP run over the other
-    restarts, if it ran; refine_elapsed is summed over the restarts that
-    ran; restarts_run counts them; and iterations/init_dist/htp_stop refer
-    to the selected restart. htp_stop is why HTP stopped (one of
-    ``refine.STOPS``).
+    are seconds. For multi-restart runs init_elapsed and refine_elapsed
+    are summed over the restarts that ran; restarts_run counts them; and
+    iterations/init_dist/htp_stop refer to the selected restart. htp_stop
+    is why HTP stopped (one of ``refine.STOPS``).
     """
 
     x: np.ndarray
@@ -122,13 +120,13 @@ def solve_multi_restart(e: Ensemble, s: int,
                         truth=None) -> SolveReport:
     """Truncated power method with multiple restarts (b = cfg.restarts).
 
-    Restart b' anchors the support rule at the b'-th of
-    ``diagonal_anchors``. Restarts run in anchor order and stop at the
-    first whose HTP run converges. Restart 1's TP runs alone, as in
-    ``tp_init``; only if its HTP run does not converge does TP run for
-    the other restarts as one block (``tp_restarts``). Among the restarts
-    that ran, the candidate minimizing the gradient-norm residual wins;
-    ties keep the smallest b'. chosen_restart is the winning b', 1-based.
+    Restart b' runs ``tp_init`` anchored at the b'-th of
+    ``diagonal_anchors``, then HTP from its estimate. Restarts run in
+    anchor order and stop at the first whose HTP run converges, so TP runs
+    only for the restarts that run, and restart 1 is the ``tp`` solve.
+    Among the restarts that ran, the candidate minimizing the
+    gradient-norm residual wins; ties keep the smallest b'.
+    chosen_restart is the winning b', 1-based.
 
     A converged restart fits the observations to ``refine.RESIDUAL_TOL``,
     and its score is tiny next to that of any restart that did not
@@ -140,23 +138,18 @@ def solve_multi_restart(e: Ensemble, s: int,
     if cfg.restarts > e.n:
         raise ValueError("more restarts than coordinates")
 
-    anchors = diagonal_anchors(y_diag(e), cfg.restarts)
-
     runs = []  # (score, start, refined) of each restart that ran
     init_elapsed = refine_elapsed = 0.0
-    for block in (anchors[:1], anchors[1:]):
-        if not block.size or (runs and runs[-1][2].converged):
-            break
+    for anchor in diagonal_anchors(y_diag(e), cfg.restarts):
         t0 = time.perf_counter()
-        starts = tp_restarts(e, s, cfg.init, block)
-        init_elapsed += time.perf_counter() - t0
-        for est in starts:
-            t1 = time.perf_counter()
-            refined = htp_run(e, est.xhat, s, cfg.htp)
-            refine_elapsed += time.perf_counter() - t1
-            runs.append((gradient_residual(e, refined.x), est, refined))
-            if refined.converged:
-                break
+        est = tp_init(e, s, cfg.init, anchor=anchor)
+        t1 = time.perf_counter()
+        refined = htp_run(e, est.xhat, s, cfg.htp)
+        init_elapsed += t1 - t0
+        refine_elapsed += time.perf_counter() - t1
+        runs.append((gradient_residual(e, refined.x), est, refined))
+        if refined.converged:
+            break
 
     # min keeps the first of equal scores
     b_min = min(range(len(runs)), key=lambda i: runs[i][0])

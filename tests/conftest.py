@@ -63,14 +63,14 @@ def htp_reference():
 
 
 def reference_multi_restart(e, s, cfg=None, truth=None):
-    """tp_mr running every restart: TP from all b anchors as one block,
-    HTP from every start, and the smallest gradient residual wins, ties
-    to the smaller index."""
+    """tp_mr running every restart: TP from each of the b anchors, HTP
+    from every start, and the smallest gradient residual wins, ties to the
+    smaller index."""
     cfg = cfg or sp.SolverConfigs()
     anchors = sp.diagonal_anchors(sp.y_diag(e), cfg.restarts)
     best = None
-    for b_index, est in enumerate(sp.tp_restarts(e, s, cfg.init, anchors),
-                                  start=1):
+    for b_index, a in enumerate(anchors, start=1):
+        est = sp.tp_init(e, s, cfg.init, anchor=a)
         refined = sp.htp_run(e, est.xhat, s, cfg.htp)
         score = sp.gradient_residual(e, refined.x)
         if best is None or score < best[0]:

@@ -183,6 +183,91 @@ class TestGrid:
         assert "restarts" in stderr.getvalue()
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("repeat", [
+        {"s_list": [2, 2]}, {"m_list": [40, 40.0]},
+        {"methods": ["tp", "spectral", "tp"]},
+    ])
+    def test_repeated_entry_exits_2_before_sampling(self, tmp_path,
+                                                    monkeypatch, repeat):
+        def no_sampling(*args):
+            raise AssertionError("sampled a cell of an invalid grid")
+
+        monkeypatch.setattr(harness, "sample_signal", no_sampling)
+        config = {"n": 16, "s_list": [2], "m_list": [40], "trials": 3,
+                  "seed": 1, "methods": ["tp"], **repeat}
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "r.csv"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["grid", "--config", str(cfg_path), "--threads",
+                         "1", "--out", str(out_path)])
+        assert code == 2
+        assert "repeats" in stderr.getvalue()
+        assert not out_path.exists()
+
+    def test_unwritable_out_exits_3_before_solving(self, tmp_path,
+                                                   monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran a grid with nowhere to write it")
+
+        monkeypatch.setattr(harness, "run_grid", no_run)
+        config = {"n": 16, "s_list": [2], "m_list": [40], "trials": 1,
+                  "seed": 1, "methods": ["tp"]}
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(config))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["grid", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "no" / "such" / "out.csv")])
+        assert code == 3
+        assert stderr.getvalue().startswith("error:")
+
+    @pytest.mark.parametrize("flag,env", [("0", None), (None, "0"),
+                                          (None, "two")])
+    def test_refused_worker_count_exits_2_leaving_no_out(self, tmp_path,
+                                                         monkeypatch, flag,
+                                                         env):
+        config = {"n": 16, "s_list": [2], "m_list": [40], "trials": 1,
+                  "seed": 1, "methods": ["tp"]}
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "r.csv"
+        monkeypatch.delenv("SPARSEPR_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("SPARSEPR_THREADS", env)
+        threads = [] if flag is None else ["--threads", flag]
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(["grid", "--config", str(cfg_path), "--out",
+                         str(out_path)] + threads)
+        assert code == 2
+        assert not out_path.exists()
+
+    def test_out_replaced_only_by_a_finished_run(self, tmp_path,
+                                                 monkeypatch):
+        config = {"n": 16, "s_list": [2], "m_list": [40], "trials": 1,
+                  "seed": 1, "methods": ["tp"]}
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "r.csv"
+        old = "an earlier, longer file\n" * 50
+        out_path.write_text(old)
+        args = ["grid", "--config", str(cfg_path), "--threads", "1",
+                "--out", str(out_path), "--no-timing"]
+
+        def failing_run(*args, **kwargs):
+            raise sp.harness.ConfigError("refused")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "run_grid", failing_run)
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(args) == 2
+        assert out_path.read_text() == old
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(args) == 0
+        assert out_path.read_text() == sp.emit_csv(sp.run_grid(
+            sp.ExperimentGrid(**config), record_timing=False).records)
+
     def test_invalid_json_exits_2(self, tmp_path):
         cfg_path = tmp_path / "grid.json"
         cfg_path.write_text("{not json")

@@ -148,6 +148,23 @@ class TestSettingsCheckThemselves:
         with pytest.raises(ConfigError, match=field):
             build()
 
+    @pytest.mark.parametrize("field,values", [
+        ("s_list", (2, 2)), ("s_list", (2, 3, 2.0)), ("m_list", (60, 60)),
+        ("methods", ("tp", "tp")),
+    ])
+    def test_repeated_grid_entry_refused_before_sampling(self, field, values,
+                                                         monkeypatch):
+        # a repeated entry would solve the same trials twice and count
+        # them twice in summary_table
+        def no_sampling(*args):
+            raise AssertionError("sampled a cell of an invalid grid")
+
+        monkeypatch.setattr(harness, "sample_signal", no_sampling)
+        cell = {"s_list": (2,), "m_list": (60,), "methods": ("tp",),
+                field: values}
+        with pytest.raises(ConfigError, match=f"{field} repeats"):
+            sp.ExperimentGrid(n=32, trials=3, seed=1, **cell)
+
     def test_integral_floats_become_ints(self):
         assert type(sp.HtpConfig(max_iters=50.0).max_iters) is int
         assert sp.HtpConfig(max_iters=50.0).max_iters == 50
@@ -266,15 +283,35 @@ class TestRunGrid:
         with pytest.raises(ConfigError):
             run_grid(small_grid, parallelism=0)
 
+    def test_parallelism_must_be_an_integer(self, small_grid):
+        for bad in (2.5, "2"):
+            with pytest.raises(ConfigError, match="parallelism"):
+                run_grid(small_grid, parallelism=bad)
+        assert run_grid(small_grid, parallelism=2.0,
+                        record_timing=False) == run_grid(
+            small_grid, parallelism=1, record_timing=False)
+
     def test_workers_capped_by_tasks_and_cpus(self, monkeypatch):
         # the pool size is computed, never started, at these sizes
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: set(range(4)), raising=False)
         assert harness._workers(10**6, 10**6) == 4
         assert harness._workers(10**6, 3) == 3
         assert harness._workers(2, 10**6) == 2
         assert harness._workers(5, 0) == 1
+        # where the platform reports no affinity mask, the CPU count caps
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        assert harness._workers(10**6, 10**6) == 4
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
         assert harness._workers(10**6, 10**6) == 1
+
+    def test_workers_capped_by_the_affinity_mask(self, monkeypatch):
+        # a process pinned to one of 4 CPUs gets one worker
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        assert harness._workers(4, 10) == 1
 
 
 class TestWilsonInterval:

@@ -434,6 +434,8 @@ class TestTpInit:
             sp.tp_init(e, 3, sp.InitConfig(s_prime=2))
         with pytest.raises(ValueError):
             sp.tp_init(e, 3, sp.InitConfig(s_prime=21))
+        with pytest.raises(ValueError, match="1 <= s <= n"):
+            sp.tp_init(e, 21)
 
     def test_row_permutation_invariance(self):
         g = sp.trial_rng(63)
@@ -447,26 +449,23 @@ class TestTpInit:
 
 
 # (n, s, m) from undersampled to oversampled; t_max and s_prime vary by case
-TP_BLOCK_CELLS = [(n, s, m) for n in (30, 64, 120, 200) for s in (2, 5, 9)
-                  for m in (int(1.2 * s * np.log(n)), 4 * s * int(np.log(n)),
-                            12 * s * int(np.log(n)))]
+TP_CELLS = [(n, s, m) for n in (30, 64, 120, 200) for s in (2, 5, 9)
+            for m in (int(1.2 * s * np.log(n)), 4 * s * int(np.log(n)),
+                      12 * s * int(np.log(n)))]
 
 
 class TestTpRestarts:
-    def test_block_matches_single_vector_reference(self, tp_reference):
+    def test_matches_single_vector_reference(self, tp_reference):
         t_maxes = [0, 1, 5, sp.InitConfig().t_max]
         fell_back = {True: 0, False: 0}
-        mixed_stops = 0
-        for k, (n, s, m) in enumerate(TP_BLOCK_CELLS):
+        for k, (n, s, m) in enumerate(TP_CELLS):
             cfg = sp.InitConfig(t_max=t_maxes[k % 4],
                                 s_prime=n if k % 5 == 0 else None)
             rng = sp.trial_rng(sp.derive_trial_seed(91, n, s, m, 0))
             x = sp.sample_signal(n, s, rng)
             e = sp.measure(x, m, rng)
-            anchors = sp.diagonal_anchors(sp.y_diag(e), 4)
-            block = sp.tp_restarts(e, s, cfg, anchors)
-            assert len(block) == len(anchors)
-            for a, got in zip(anchors, block):
+            for a in sp.diagonal_anchors(sp.y_diag(e), 4):
+                got = sp.tp_init(e, s, cfg, anchor=a)
                 want, candidate = tp_reference(e, s, cfg, anchor=a)
                 seed = sp.modified_spectral_init(e, s, cfg, anchor=a)
                 np.testing.assert_array_equal(got.support, want.support)
@@ -481,18 +480,16 @@ class TestTpRestarts:
                 if sp.dist(candidate, seed.xhat) > 1e-12 * e.nu:
                     assert (got.xhat.tobytes() == seed.xhat.tobytes()) == kept
                     fell_back[kept] += 1
-            mixed_stops += len({est.iterations_run for est in block}) > 1
         assert fell_back[True] > 0 and fell_back[False] > 0
-        assert mixed_stops > 0
 
     def test_fallback_fires_and_not_when_undersampled(self):
         fired = set()
-        for n, s, m in TP_BLOCK_CELLS[::3]:  # the smallest m of each (n, s)
+        for n, s, m in TP_CELLS[::3]:  # the smallest m of each (n, s)
             rng = sp.trial_rng(sp.derive_trial_seed(91, n, s, m, 0))
             x = sp.sample_signal(n, s, rng)
             e = sp.measure(x, m, rng)
-            anchors = sp.diagonal_anchors(sp.y_diag(e), 4)
-            for a, got in zip(anchors, sp.tp_restarts(e, s, None, anchors)):
+            for a in sp.diagonal_anchors(sp.y_diag(e), 4):
+                got = sp.tp_init(e, s, anchor=a)
                 seed = sp.modified_spectral_init(e, s, anchor=a)
                 fired.add(got.xhat.tobytes() == seed.xhat.tobytes())
         assert fired == {True, False}
@@ -500,8 +497,8 @@ class TestTpRestarts:
     def test_zero_observations_return_the_flagged_starts(self,
                                                        tp_reference):
         e = Ensemble.from_measurements(np.ones((6, 40)), np.zeros(6))
-        block = sp.tp_restarts(e, 3, None, [0, 7, 39])
-        for a, got in zip([0, 7, 39], block):
+        for a in [0, 7, 39]:
+            got = sp.tp_init(e, 3, anchor=a)
             want, candidate = tp_reference(e, 3, anchor=a)
             assert candidate is None
             assert got.degenerate and want.degenerate
@@ -510,38 +507,36 @@ class TestTpRestarts:
             assert got.j0 == want.j0 == a
             assert got.iterations_run == want.iterations_run == 0
 
-    def test_zero_step_flags_only_that_column(self, small_instance,
-                                              monkeypatch):
-        # a product that vanishes in column 1 at step 2: that restart
-        # returns its start flagged degenerate with iterations_run=2
+    def test_zero_step_returns_the_flagged_start(self, small_instance,
+                                                 monkeypatch):
+        # a product that vanishes at step 2: TP returns its start flagged
+        # degenerate with iterations_run=2
         x, e = small_instance
         real = initializers.ybar_matvec
         calls = []
 
         def vanishing(op, w):
             out = real(op, w)
-            calls.append(w.shape[1])
-            if len(calls) == 2:
-                out[:, 1] = 0.0
-            return out
+            calls.append(w.shape)
+            return np.zeros_like(out) if len(calls) == 2 else out
 
-        anchors = sp.diagonal_anchors(sp.y_diag(e), 3)
+        a = sp.diagonal_anchors(sp.y_diag(e), 2)[1]
         monkeypatch.setattr(initializers, "ybar_matvec", vanishing)
-        block = sp.tp_restarts(e, x.s, sp.InitConfig(t_max=5), anchors)
-        seed = sp.modified_spectral_init(e, x.s, anchor=anchors[1])
-        assert block[1].degenerate and block[1].iterations_run == 2
-        assert block[1].xhat.tobytes() == seed.xhat.tobytes()
-        assert not block[0].degenerate and not block[2].degenerate
-        assert calls[:3] == [3, 3, 2]
+        got = sp.tp_init(e, x.s, sp.InitConfig(t_max=5), anchor=a)
+        seed = sp.modified_spectral_init(e, x.s, anchor=a)
+        assert got.degenerate and got.iterations_run == 2
+        assert got.xhat.tobytes() == seed.xhat.tobytes()
+        assert got.j0 == a
+        assert calls == [(x.n,), (x.n,)]
 
-    def test_tp_init_is_the_one_anchor_block(self, small_instance):
+    def test_tp_init_defaults_to_the_first_anchor(self, small_instance):
         x, e = small_instance
         one = sp.tp_init(e, x.s)
-        first = sp.diagonal_anchors(sp.y_diag(e), 1)
-        (blk,) = sp.tp_restarts(e, x.s, None, first)
-        assert one.xhat.tobytes() == blk.xhat.tobytes()
-        assert one.iterations_run == blk.iterations_run
-        assert one.j0 == blk.j0 == sp.modified_spectral_init(e, x.s).j0
+        first = sp.diagonal_anchors(sp.y_diag(e), 1)[0]
+        anchored = sp.tp_init(e, x.s, anchor=first)
+        assert one.xhat.tobytes() == anchored.xhat.tobytes()
+        assert one.iterations_run == anchored.iterations_run
+        assert one.j0 == anchored.j0 == sp.modified_spectral_init(e, x.s).j0
 
     def test_multi_restart_matches_per_anchor_loop(self):
         for n, s, m in [(64, 5, 80), (120, 9, 144), (200, 9, 180),
@@ -554,7 +549,7 @@ class TestTpRestarts:
             best = None
             anchors = sp.diagonal_anchors(sp.y_diag(e), 6)
             for b, a in enumerate(anchors, start=1):
-                (est,) = sp.tp_restarts(e, s, cfg.init, [a])
+                est = sp.tp_init(e, s, cfg.init, anchor=a)
                 refined = sp.htp_run(e, est.xhat, s, cfg.htp)
                 score = sp.gradient_residual(e, refined.x)
                 if best is None or score < best[0]:

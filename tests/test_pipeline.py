@@ -180,40 +180,38 @@ class TestEarlyStop:
     def test_no_work_after_the_first_converged_restart(
             self, cell, first_converged, monkeypatch):
         x, e = _instance(*cell)
-        tp_blocks, htp_runs = [], []
+        tp_anchors, htp_runs = [], []
 
-        def counting_tp(e, s, cfg, anchors):
-            tp_blocks.append(len(anchors))
-            return sp.tp_restarts(e, s, cfg, anchors)
+        def counting_tp(e, s, cfg=None, *, anchor=None):
+            tp_anchors.append(anchor)
+            return sp.tp_init(e, s, cfg, anchor=anchor)
 
         def counting_htp(e, x0, s, cfg=None):
             result = sp.htp_run(e, x0, s, cfg)
             htp_runs.append(result.converged)
             return result
 
-        monkeypatch.setattr(pipeline, "tp_restarts", counting_tp)
+        monkeypatch.setattr(pipeline, "tp_init", counting_tp)
         monkeypatch.setattr(pipeline, "htp_run", counting_htp)
         rep = sp.solve_multi_restart(e, cell[1])
-        if first_converged is None:
-            assert tp_blocks == [1, 19]
-            assert htp_runs == [False] * 20
-        else:
-            assert tp_blocks == ([1] if first_converged == 1 else [1, 19])
-            assert htp_runs == [False] * (first_converged - 1) + [True]
-        assert rep.restarts_run == len(htp_runs)
+        runs = 20 if first_converged is None else first_converged
+        assert tp_anchors == sp.diagonal_anchors(y_diag(e), runs).tolist()
+        assert htp_runs == [False] * (runs - 1) + [first_converged
+                                                   is not None]
+        assert rep.restarts_run == runs
 
-    def test_one_restart_runs_no_block(self, monkeypatch):
+    def test_one_restart_runs_tp_once(self, monkeypatch):
         # restart 1 fails and there is no other anchor to try
         x, e = _instance(200, 20, 100, 0)
-        tp_blocks = []
+        tp_anchors = []
 
-        def counting_tp(e, s, cfg, anchors):
-            tp_blocks.append(len(anchors))
-            return sp.tp_restarts(e, s, cfg, anchors)
+        def counting_tp(e, s, cfg=None, *, anchor=None):
+            tp_anchors.append(anchor)
+            return sp.tp_init(e, s, cfg, anchor=anchor)
 
-        monkeypatch.setattr(pipeline, "tp_restarts", counting_tp)
+        monkeypatch.setattr(pipeline, "tp_init", counting_tp)
         rep = sp.solve_multi_restart(e, 20, sp.SolverConfigs(restarts=1))
-        assert tp_blocks == [1]
+        assert tp_anchors == sp.diagonal_anchors(y_diag(e), 1).tolist()
         assert (rep.chosen_restart, rep.restarts_run) == (1, 1)
         assert rep.htp_stop != "converged"
 
