@@ -329,6 +329,14 @@ class TestSolve:
                         "--method", "tp"])
         assert proc.returncode == 2
 
+    def test_undecodable_instance_exits_2_naming_line(self, tmp_path):
+        path = tmp_path / "bad.spr1"
+        path.write_bytes(b"SPR1 2 1 1\n0 1\n1 \xff0\n1\n")
+        proc = run_cli(["solve", "--instance", str(path), "--s", "1",
+                        "--method", "tp"])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: line 3:")
+
     def test_missing_instance_exits_3(self, tmp_path):
         proc = run_cli(["solve", "--instance", str(tmp_path / "x.spr1"),
                         "--s", "1", "--method", "tp"])

@@ -19,11 +19,12 @@ class TestRoundTrip:
     def test_fields_reproduced(self, saved):
         path, x, e = saved
         e2, x2 = sp.load_instance(path)
-        np.testing.assert_allclose(e2.A, e.A, rtol=1e-15)
-        np.testing.assert_allclose(e2.y, e.y, rtol=1e-15)
+        # .17g round-trips every finite double exactly
+        assert e2.A.tobytes() == e.A.tobytes()
+        assert e2.y.tobytes() == e.y.tobytes()
         np.testing.assert_array_equal(x2.support, x.support)
-        np.testing.assert_allclose(x2.values, x.values, rtol=1e-15)
-        assert e2.nu == pytest.approx(e.nu, rel=1e-15)
+        assert x2.values.tobytes() == x.values.tobytes()
+        assert e2.nu == e.nu
 
     def test_measurements_consistent(self, saved):
         path, _, _ = saved
@@ -56,8 +57,22 @@ class TestErrors:
         path, _, _ = saved
         lines = path.read_text().splitlines()
         clipped = self.write(tmp_path, "\n".join(lines[:-2]) + "\n")
-        with pytest.raises(InstanceFormatError):
+        with pytest.raises(InstanceFormatError) as err:
             sp.load_instance(clipped)
+        # one past the last line present
+        assert err.value.line == len(lines) - 1
+
+    @pytest.mark.parametrize("data, line", [
+        (b"SPR1 2 1 1\n0 1\n1 \xff0\n1\n", 3),
+        (b"SPR1 2 1 1\r\n0 1\r1 \xed\xa0\x800\n1\n", 3),  # CR ends, surrogate
+        (b"\xe2\x82", 1),  # cut inside a character
+    ])
+    def test_undecodable_bytes_name_line(self, tmp_path, data, line):
+        path = tmp_path / "bad.spr1"
+        path.write_bytes(data)
+        with pytest.raises(InstanceFormatError) as err:
+            sp.load_instance(path)
+        assert err.value.line == line
 
     def test_bad_header(self, tmp_path):
         with pytest.raises(InstanceFormatError) as err:
@@ -98,3 +113,78 @@ class TestErrors:
         extra = self.write(tmp_path, path.read_text() + "stray\n")
         with pytest.raises(InstanceFormatError):
             sp.load_instance(extra)
+
+
+def spec_lines(x, e):
+    """The file as the format spec writes it, one value at a time."""
+    def join(row):
+        return " ".join(format(float(v), ".17g") for v in row)
+    return ([f"SPR1 {x.n} {e.m} {x.s}", join(x.to_dense())]
+            + [join(row) for row in e.A] + [join(e.y)])
+
+
+class TestWriter:
+    def test_edge_values_written_as_spec(self, tmp_path):
+        edges = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e-300]
+        A = np.array([edges, [-v for v in edges[::-1]]])
+        x = sp.SparseSignal(n=5, support=[1, 3, 4], values=edges[1:4][::-1])
+        e = sp.Ensemble.from_measurements(A, [0.0, 5e-324])
+        path = tmp_path / "edges.spr1"
+        sp.save_instance(path, x, e)
+        assert path.read_text(encoding="utf-8").splitlines() == \
+            spec_lines(x, e)
+        e2, x2 = sp.load_instance(path)
+        assert e2.A.tobytes() == e.A.tobytes()
+        assert x2.to_dense().tobytes() == x.to_dense().tobytes()
+
+    def test_sampled_instance_written_as_spec(self, tmp_path):
+        rng = sp.trial_rng(7)
+        x = sp.sample_signal(50, 5, rng)
+        e = sp.measure(x, 40, rng)
+        path = tmp_path / "sampled.spr1"
+        sp.save_instance(path, x, e)
+        assert path.read_bytes() == (
+            "\n".join(spec_lines(x, e)) + "\n").encode("utf-8")
+
+
+class TestBulkReader:
+    """A 40 x 30 instance with row 17 of A (file line 19) altered: the
+    bulk parse of the sensing block must give way to the line-by-line one
+    exactly where the latter accepts or names a line."""
+
+    def edited(self, tmp_path, edit):
+        rng = sp.trial_rng(3)
+        x = sp.sample_signal(30, 4, rng)
+        e = sp.measure(x, 40, rng)
+        path = tmp_path / "inst.spr1"
+        sp.save_instance(path, x, e)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[18] = edit(lines[18].split())
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path, e
+
+    def test_float_only_token_accepted(self, tmp_path):
+        path, e = self.edited(
+            tmp_path, lambda row: " ".join(["1_0"] + row[1:]))
+        e2, _ = sp.load_instance(path)
+        expected = np.array(e.A)
+        expected[16, 0] = 10.0
+        assert e2.A.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: " ".join(row[:5] + ["nan"] + row[6:]),
+         "non-finite sensing value"),
+        (lambda row: " ".join(row[:5] + ["#"] + row[6:]),
+         "unparseable sensing value"),
+        (lambda row: " ".join(row[:-1] + ["1#2"]),
+         "unparseable sensing value"),
+        (lambda row: "", "expected 30 sensing values, found 0"),
+        (lambda row: " ".join(row[:-1]),
+         "expected 30 sensing values, found 29"),
+    ], ids=["nan", "hash", "trailing-hash", "blank", "short"])
+    def test_bad_row_names_line(self, tmp_path, edit, message):
+        path, _ = self.edited(tmp_path, edit)
+        with pytest.raises(InstanceFormatError) as err:
+            sp.load_instance(path)
+        assert err.value.line == 19
+        assert str(err.value) == f"line 19: {message}"

@@ -2,10 +2,11 @@
 
 Grid configs arrive as JSON and instances as SPR1 text. The CLI maps
 ConfigError and InstanceFormatError to exit code 2, so any other
-exception from these two readers would end in a traceback. No solver
-runs here. The top-k mask that TP and HTP select with, and the diagonal
-anchor order of the anchored initializers, are checked against the
-full-sort rule on tie-heavy inputs.
+exception from these two readers would end in a traceback. The SPR1
+reader's bulk parse must do what a line-by-line ``float`` parse does.
+No solver runs here. The top-k mask that TP and HTP select with, and
+the diagonal anchor order of the anchored initializers, are checked
+against the full-sort rule on tie-heavy inputs.
 """
 
 import contextlib
@@ -28,7 +29,7 @@ from sparsepr import (HtpConfig, InitConfig, cli,  # noqa: E402
                       diagonal_anchors, harness, top_magnitude_mask)
 from sparsepr.harness import ConfigError, grid_from_dict  # noqa: E402
 from sparsepr.instance_io import (InstanceFormatError,  # noqa: E402
-                                  load_instance)
+                                  _parse_floats, load_instance)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -116,8 +117,11 @@ def test_grid_cli_missing_config_exits_3(tmp_path):
 
 VALID_SPR1 = ["SPR1 3 2 1", "0 1.5 0", "1 2 3", "-1 0.5 2", "3 0.75"]
 
+# tokens aimed at the C parser (np.loadtxt) that reads the sensing block
+C_PARSER_TOKENS = ["#", "1#2", '"1"', "'1'", "1,5", "\t1", "+nan", "0x1p3"]
 tokens = (st.sampled_from(["0", "1", "-1", "2.5", "-0", "nan", "inf",
-                           "1e999", "SPR1", "x", "1_0", "٣"])
+                           "1e999", "SPR1", "x", "1_0", "٣",
+                           *C_PARSER_TOKENS])
           | st.text(st.characters(exclude_categories=("Cs",)), max_size=4))
 lines = st.lists(tokens, max_size=5).map(" ".join)
 
@@ -163,6 +167,82 @@ def test_spr1_errors_are_instance_format_errors(text):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def mutated_block_instance(draw):
+    """A valid instance of drawn size with up to three tokens or lines of
+    its sensing block replaced, so the reader's bulk parse meets them."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    x = [0.0] * n
+    x[draw(st.integers(0, n - 1))] = 1.0
+    A = draw(st.lists(st.lists(finite.map(repr), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.integers(0, m - 1))
+        if draw(st.booleans()):
+            A[row][draw(st.integers(0, len(A[row]) - 1))] = draw(
+                st.sampled_from(C_PARSER_TOKENS) | tokens)
+        else:
+            A[row] = draw(lines).split(" ")
+    body = [" ".join(map(repr, x))] + [" ".join(r) for r in A]
+    return "\n".join([f"SPR1 {n} {m} 1", *body, " ".join(["1"] * m)]) + "\n"
+
+
+def per_line_load(path):
+    """The reader with every line parsed by ``float`` alone: (x, A, y)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text_lines = fh.read().splitlines()
+    if not text_lines:
+        raise InstanceFormatError(1, "empty file")
+    header = text_lines[0].split()
+    if len(header) != 4 or header[0] != "SPR1":
+        raise InstanceFormatError(1, "header must read 'SPR1 n m s'")
+    try:
+        n, m, s = (int(t) for t in header[1:])
+    except ValueError:
+        raise InstanceFormatError(1, "header dimensions must be integers")
+    if n < 1 or m < 1 or s < 1 or s > n:
+        raise InstanceFormatError(1, "header dimensions out of range")
+    if len(text_lines) < m + 3:
+        raise InstanceFormatError(len(text_lines) + 1,
+                                  f"file truncated: expected {m + 3} lines")
+    if any(line.strip() for line in text_lines[m + 3:]):
+        raise InstanceFormatError(m + 4, "trailing content")
+    x = _parse_floats(text_lines[1], n, 2, "signal")
+    if np.count_nonzero(x) != s:
+        raise InstanceFormatError(
+            2, f"signal has {np.count_nonzero(x)} nonzeros, header says {s}")
+    A = np.array([_parse_floats(text_lines[2 + i], n, 3 + i, "sensing")
+                  for i in range(m)])
+    y = _parse_floats(text_lines[2 + m], m, 3 + m, "observation")
+    if np.any(y < 0):
+        raise InstanceFormatError(3 + m, "observations must be nonnegative")
+    return x, A, y
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.one_of(spr1_texts, mutated_block_instance()))
+def test_bulk_reader_matches_per_line_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.spr1")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            expected = per_line_load(path)
+        except InstanceFormatError as exc:
+            with pytest.raises(InstanceFormatError) as err:
+                load_instance(path)
+            assert (err.value.line, str(err.value)) == (exc.line, str(exc))
+            return
+        e, signal = load_instance(path)
+    x, A, y = expected
+    support = np.flatnonzero(x)
+    assert np.array_equal(signal.support, support)
+    assert signal.values.tobytes() == x[support].tobytes()
+    assert e.A.tobytes() == A.tobytes()
+    assert e.y.tobytes() == y.tobytes()
 
 
 @st.composite
