@@ -12,9 +12,9 @@ from .harness import (CellSummary, ExperimentGrid, GridResult, TrialRecord,
                       wilson_interval)
 from .initializers import (InitConfig, InitEstimate, YbarOperator,
                            diagonal_anchors, modified_spectral_init,
-                           restricted_ybar, spectral_init, support_diag,
-                           top_magnitude_mask, tp_init, truncate, y_column,
-                           y_diag, ybar_matvec, ybar_operator)
+                           restricted_ybar, spectral_init, top_magnitude_mask,
+                           tp_init, truncate, y_column, y_diag, ybar_matvec,
+                           ybar_operator)
 from .instance_io import InstanceFormatError, load_instance, save_instance
 from .linalg import restricted_least_squares, top_eigenvector
 from .model import (Ensemble, SparseSignal, dist, measure, norm_estimate,
@@ -35,8 +35,8 @@ __all__ = [
     "modified_spectral_init", "norm_estimate", "parse_csv", "relative_error",
     "restricted_least_squares", "restricted_ybar", "run_grid", "run_trial",
     "sample_signal", "save_instance", "solve", "solve_multi_restart",
-    "solve_two_stage", "spectral_init", "summary_table", "support_diag",
-    "top_eigenvector", "top_magnitude_mask", "tp_init", "trial_rng",
-    "truncate", "truncated_gaussian_moment",
-    "wilson_interval", "y_column", "y_diag", "ybar_matvec", "ybar_operator",
+    "solve_two_stage", "spectral_init", "summary_table", "top_eigenvector",
+    "top_magnitude_mask", "tp_init", "trial_rng", "truncate",
+    "truncated_gaussian_moment", "wilson_interval", "y_column", "y_diag",
+    "ybar_matvec", "ybar_operator",
 ]

@@ -8,9 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 parse/config error, 3 I/O error. The default
 worker count for ``grid`` comes from the SPARSEPR_THREADS environment
-variable (the --threads flag overrides it).
-
-Heavy imports happen inside the handlers so cheap subcommands stay fast.
+variable (the --threads flag overrides it). ``trial`` and ``solve``
+take ``pipeline.METHODS`` and the aliases ``modspec`` and ``tpmr``.
 """
 
 from __future__ import annotations
@@ -19,15 +18,21 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
+
+from . import harness, instance_io
+from .initializers import InitConfig
+from .model import truncated_gaussian_moment
+from .pipeline import METHODS, SolverConfigs
+from .refine import HtpConfig
 
 THREADS_ENV = "SPARSEPR_THREADS"
 
-_METHOD_ALIASES = {
-    "spectral": "spectral",
-    "modspec": "modified_spectral",
-    "tp": "tp",
-    "tpmr": "tp_mr",
-}
+_METHOD_ALIASES = {"modspec": "modified_spectral", "tpmr": "tp_mr"}
+# argparse checks the resolved name against the choices, so handlers see
+# only the names in METHODS
+_METHOD_FLAG = dict(required=True, choices=[*METHODS, *_METHOD_ALIASES],
+                    type=lambda name: _METHOD_ALIASES.get(name, name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,8 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     trial.add_argument("--n", type=int, required=True)
     trial.add_argument("--s", type=int, required=True)
     trial.add_argument("--m", type=int, required=True)
-    trial.add_argument("--method", required=True,
-                       choices=sorted(_METHOD_ALIASES))
+    trial.add_argument("--method", **_METHOD_FLAG)
     trial.add_argument("--seed", type=int, required=True)
     trial.add_argument("--trial-index", type=int, default=0)
     trial.add_argument("--l", type=float, default=None)
@@ -63,8 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an SPR1 instance file")
     solve.add_argument("--instance", required=True)
     solve.add_argument("--s", type=int, required=True)
-    solve.add_argument("--method", required=True,
-                       choices=sorted(_METHOD_ALIASES))
+    solve.add_argument("--method", **_METHOD_FLAG)
 
     moments = sub.add_parser("moments",
                              help="truncated Gaussian moments of a band")
@@ -77,12 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _solver_configs(args):
     # only the flags the user set reach the settings objects, whose field
     # names are the flag dests; the rest keep the dataclass defaults
-    from dataclasses import fields
-
-    from .harness import SolverConfigs
-    from .initializers import InitConfig
-    from .refine import HtpConfig
-
     def given(cls):
         return {f.name: getattr(args, f.name) for f in fields(cls)
                 if getattr(args, f.name) is not None}
@@ -93,13 +90,9 @@ def _solver_configs(args):
 
 
 def _cmd_trial(args) -> int:
-    from dataclasses import asdict
-
-    from .harness import run_trial
-
-    record = run_trial(args.n, args.s, args.m, _METHOD_ALIASES[args.method],
-                       args.trial_index, args.seed,
-                       configs=_solver_configs(args))
+    record = harness.run_trial(args.n, args.s, args.m, args.method,
+                               args.trial_index, args.seed,
+                               configs=_solver_configs(args))
     print(json.dumps(asdict(record)))
     return 0
 
@@ -118,35 +111,30 @@ def _resolve_threads(flag_value) -> int:
 
 
 def _cmd_grid(args) -> int:
-    from .harness import emit_csv, grid_from_dict, run_grid, summary_table
-
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"config is not valid JSON: {exc}") from None
-    grid = grid_from_dict(data)
+    grid = harness.grid_from_dict(data)
     threads = _resolve_threads(args.threads)
     # --out is opened before any solve, so an unwritable path fails first;
     # appending leaves an existing file whole until the new CSV replaces it
     with open(args.out, "a", encoding="utf-8") as fh:
-        result = run_grid(grid, parallelism=threads,
-                          record_timing=not args.no_timing)
+        result = harness.run_grid(grid, parallelism=threads,
+                                  record_timing=not args.no_timing)
         fh.truncate(0)
-        fh.write(emit_csv(result.records))
-    print(summary_table(result.cells))
+        fh.write(harness.emit_csv(result.records))
+    print(harness.summary_table(result.cells))
     print(f"{len(result.records)} records written to {args.out}")
     return 0
 
 
 def _cmd_solve(args) -> int:
-    from .harness import solve
-    from .instance_io import format_row, load_instance
-
-    ensemble, signal = load_instance(args.instance)
-    report = solve(ensemble, args.s, _METHOD_ALIASES[args.method],
-                   truth=signal.to_dense())
-    print(format_row(report.x))
+    ensemble, signal = instance_io.load_instance(args.instance)
+    report = harness.solve(ensemble, args.s, args.method,
+                           truth=signal.to_dense())
+    print(instance_io.format_row(report.x))
     print(json.dumps({
         "method": report.method,
         "rel_error": report.rel_error,
@@ -163,9 +151,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    from .initializers import InitConfig
-    from .model import truncated_gaussian_moment
-
     band = InitConfig(l=args.l, u=args.u)  # a finite band with 0 <= l < u
     print(f"alpha = {truncated_gaussian_moment(2, band.l, band.u):.17g}")
     print(f"beta = {truncated_gaussian_moment(4, band.l, band.u):.17g}")
@@ -191,7 +176,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -62,6 +62,13 @@ def derive_trial_seed(grid_seed: int, n: int, s: int, m: int,
     return h
 
 
+def _word64(value, name: str) -> int:
+    # derive_trial_seed folds its inputs mod 2^64: refuse what would alias
+    if not 0 <= (value := _integer(value, name)) <= _MASK64:
+        raise ConfigError(f"{name} must lie in [0, 2^64), got {value}")
+    return value
+
+
 def trial_rng(seed: int) -> np.random.Generator:
     """Counter-based generator for one trial (Philox, 64-bit key)."""
     return np.random.Generator(np.random.Philox(key=seed))
@@ -90,9 +97,9 @@ class ExperimentGrid:
     """A (method, s, m, trial) product driving ``run_grid``.
 
     Checked when built: n, trials, seed and every s and m are integers
-    (integral floats become ints), success_threshold is a finite number,
-    and a value out of range, or repeated within s_list, m_list or
-    methods, raises ConfigError.
+    (integral floats become ints), seed lies in [0, 2^64),
+    success_threshold is a finite number, and a value out of range, or
+    repeated within s_list, m_list or methods, raises ConfigError.
     """
 
     n: int
@@ -105,8 +112,9 @@ class ExperimentGrid:
     configs: SolverConfigs = field(default_factory=SolverConfigs)
 
     def __post_init__(self):
-        for name in ("n", "trials", "seed"):
+        for name in ("n", "trials"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "seed", _word64(self.seed, "seed"))
         for name in ("s_list", "m_list"):
             object.__setattr__(self, name, tuple(
                 _integer(v, f"{name} item") for v in getattr(self, name)))
@@ -132,9 +140,6 @@ class ExperimentGrid:
         unknown = [meth for meth in self.methods if meth not in METHODS]
         if unknown or not self.methods:
             raise ConfigError(f"methods must be a nonempty subset of {METHODS}")
-        if "tp_mr" in self.methods and self.configs.restarts > self.n:
-            raise ConfigError("more restarts than coordinates: "
-                              f"{self.configs.restarts} > n = {self.n}")
         for name in ("s_list", "m_list", "methods"):
             # a repeated entry would solve the same trials again and count
             # them twice in the cell's summary
@@ -218,15 +223,15 @@ def run_trial(n: int, s: int, m: int, method: str, trial_index: int,
     (pass record_timing=False for byte-identical reruns), equal to the
     matching ``run_grid`` record: both run BLAS on one thread. Degenerate
     solves are recorded (rel_error = 1 for a zero estimate), never raised.
-    Arguments a grid would refuse raise ConfigError before any sampling;
-    the trial solves the grid's checked cell.
+    Arguments a grid would refuse, or a trial_index outside [0, 2^64),
+    raise ConfigError before any sampling.
     """
     grid = ExperimentGrid(n=n, s_list=(s,), m_list=(m,), trials=1,
                           seed=grid_seed, methods=(method,),
                           success_threshold=success_threshold,
                           configs=configs or SolverConfigs())
     task = (grid, record_timing, grid.s_list[0], grid.m_list[0],
-            _integer(trial_index, "trial_index"))
+            _word64(trial_index, "trial_index"))
     with _single_blas_thread():
         return _cell_task(task)[0]
 
@@ -396,6 +401,8 @@ def parse_csv(text: str) -> list[TrialRecord]:
         parts = ln.split(",")
         if len(parts) != 12:
             raise ValueError(f"expected 12 fields, found {len(parts)}")
+        if parts[6] not in ("0", "1"):
+            raise ValueError(f"success must be 0 or 1, got {parts[6]!r}")
         records.append(TrialRecord(
             n=int(parts[0]), s=int(parts[1]), m=int(parts[2]),
             trial_index=int(parts[3]), method=parts[4],

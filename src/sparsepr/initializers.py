@@ -140,13 +140,6 @@ def y_column(e: Ensemble, j0: int) -> np.ndarray:
     return e.A.T @ (e.y * e.y * e.A[:, j0]) / e.m
 
 
-def support_diag(e: Ensemble, s: int) -> np.ndarray:
-    """Indices of the s largest diagonal entries of Y (absolute value)."""
-    if not 1 <= s <= e.n:
-        raise ValueError("need 1 <= s <= n")
-    return top_magnitude_indices(y_diag(e), s)
-
-
 def diagonal_anchors(diag, b: int) -> np.ndarray:
     """The b anchors of the anchored initializers: indices of the largest
     diagonal entries, largest first, ties to the smaller index."""
@@ -213,9 +206,11 @@ def _spectral_from_support(e: Ensemble, cfg: InitConfig, support: np.ndarray,
 
 def spectral_init(e: Ensemble, s: int,
                   cfg: InitConfig | None = None) -> InitEstimate:
-    """Baseline spectral initializer: support from the diagonal of Y."""
-    return _spectral_from_support(e, cfg or InitConfig(), support_diag(e, s),
-                                  None)
+    """Baseline spectral initializer: support from the top-s diagonal of Y."""
+    if not 1 <= s <= e.n:
+        raise ValueError("need 1 <= s <= n")
+    return _spectral_from_support(e, cfg or InitConfig(),
+                                  top_magnitude_indices(y_diag(e), s), None)
 
 
 def modified_spectral_init(e: Ensemble, s: int, cfg: InitConfig | None = None,

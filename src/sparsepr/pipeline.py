@@ -1,8 +1,8 @@
 """End-to-end solvers: initializer + HTP, with optional multiple restarts.
 
 ``solve_two_stage`` runs one initializer followed by HTP refinement.
-``solve_multi_restart`` reruns the truncated-power pipeline from the b
-largest diagonal anchors, in anchor order, until HTP converges on one of
+``solve_multi_restart`` reruns the truncated-power pipeline from at most
+b diagonal anchors, largest first, until HTP converges on one of
 them, and keeps the candidate with the smallest gradient-norm residual
 ||A^T (A x - y .* sgn(A x))||_2 among the restarts that ran; for
 nonnegative y this matches selecting on |y| .* sign(A x). Restart 1 is
@@ -23,19 +23,18 @@ from .model import (ConfigError, Ensemble, _integer, apply_sensing,
                     relative_error, sgn)
 from .refine import HtpConfig, htp_run
 
-METHODS = ("spectral", "modified_spectral", "tp", "tp_mr")
-
 _INITIALIZERS = {
     "spectral": spectral_init,
     "modified_spectral": modified_spectral_init,
     "tp": tp_init,
 }
+METHODS = (*_INITIALIZERS, "tp_mr")
 
 
 @dataclass(frozen=True)
 class SolverConfigs:
     """Initializer and HTP settings (an InitConfig and an HtpConfig) plus
-    the restart count b of tp_mr (an integer >= 1), checked when built."""
+    the restart cap b of tp_mr (an integer >= 1), checked when built."""
 
     init: InitConfig = field(default_factory=InitConfig)
     htp: HtpConfig = field(default_factory=HtpConfig)
@@ -118,9 +117,9 @@ def solve_two_stage(e: Ensemble, s: int, method: str,
 def solve_multi_restart(e: Ensemble, s: int,
                         cfg: SolverConfigs | None = None,
                         truth=None) -> SolveReport:
-    """Truncated power method with multiple restarts (b = cfg.restarts).
+    """Truncated power method with at most b = cfg.restarts restarts.
 
-    Restart b' runs ``tp_init`` anchored at the b'-th of
+    Restart b' runs ``tp_init`` anchored at the b'-th of the min(b, n)
     ``diagonal_anchors``, then HTP from its estimate. Restarts run in
     anchor order and stop at the first whose HTP run converges, so TP runs
     only for the restarts that run, and restart 1 is the ``tp`` solve.
@@ -135,9 +134,6 @@ def solve_multi_restart(e: Ensemble, s: int,
     picks what running every restart would pick.
     """
     cfg = cfg or SolverConfigs()
-    if cfg.restarts > e.n:
-        raise ValueError("more restarts than coordinates")
-
     runs = []  # (score, start, refined) of each restart that ran
     init_elapsed = refine_elapsed = 0.0
     for anchor in diagonal_anchors(y_diag(e), cfg.restarts):

@@ -73,7 +73,12 @@ class TestTrial:
         assert proc.returncode == 2
 
     @pytest.mark.parametrize("flags", [["--u", "inf"], ["--mu", "nan"],
-                                       ["--s-prime", "1"]])
+                                       ["--s-prime", "1"],
+                                       # a later --seed overrides --seed 1
+                                       ["--seed", "-1"],
+                                       ["--seed", str(2**64)],
+                                       ["--trial-index", "-1"],
+                                       ["--trial-index", str(2**64)]])
     def test_refused_setting_exits_2_before_sampling(self, flags,
                                                      monkeypatch):
         def no_sampling(*args):
@@ -86,6 +91,22 @@ class TestTrial:
                          "--method", "tp", "--seed", "1", *flags])
         assert code == 2
         assert stderr.getvalue().startswith("error:")
+
+    @pytest.mark.parametrize("name,alias", [("tp_mr", "tpmr"),
+                                            ("modified_spectral", "modspec")])
+    def test_method_name_and_alias_print_the_same_record(self, name, alias):
+        records = []
+        for method in (name, alias):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["trial", "--n", "48", "--s", "3", "--m", "120",
+                             "--method", method, "--seed", "4"])
+            assert code == 0
+            record = json.loads(out.getvalue())
+            del record["elapsed_ms"]
+            records.append(record)
+        assert records[0] == records[1]
+        assert records[0]["method"] == name
 
 
 class TestGrid:
@@ -162,15 +183,32 @@ class TestGrid:
         assert "s_prime" in stderr.getvalue()
         assert not out_path.exists()
 
-    def test_more_restarts_than_coordinates_exits_2_before_sampling(
-            self, tmp_path, monkeypatch):
+    def test_more_restarts_than_coordinates_writes_the_csv_of_n(
+            self, tmp_path):
+        csvs = []
+        for restarts in (20, 16):
+            config = {"n": 16, "s_list": [4], "m_list": [12], "trials": 2,
+                      "seed": 7, "methods": ["tp", "tp_mr"],
+                      "configs": {"restarts": restarts}}
+            cfg_path = tmp_path / "grid.json"
+            cfg_path.write_text(json.dumps(config))
+            out_path = tmp_path / f"r{restarts}.csv"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["grid", "--config", str(cfg_path), "--threads",
+                             "1", "--out", str(out_path), "--no-timing"])
+            assert code == 0
+            csvs.append(out_path.read_text())
+        assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_2_before_sampling(
+            self, tmp_path, monkeypatch, seed):
         def no_sampling(*args):
             raise AssertionError("sampled a cell of an invalid grid")
 
         monkeypatch.setattr(harness, "sample_signal", no_sampling)
         config = {"n": 16, "s_list": [2], "m_list": [40], "trials": 1,
-                  "seed": 1, "methods": ["tp", "tp_mr"],
-                  "configs": {"restarts": 20}}
+                  "seed": seed, "methods": ["tp"]}
         cfg_path = tmp_path / "grid.json"
         cfg_path.write_text(json.dumps(config))
         out_path = tmp_path / "r.csv"
@@ -179,8 +217,7 @@ class TestGrid:
             code = main(["grid", "--config", str(cfg_path), "--threads",
                          "1", "--out", str(out_path)])
         assert code == 2
-        assert stderr.getvalue().startswith("error:")
-        assert "restarts" in stderr.getvalue()
+        assert "seed must lie in [0, 2^64)" in stderr.getvalue()
         assert not out_path.exists()
 
     @pytest.mark.parametrize("repeat", [
@@ -321,6 +358,21 @@ class TestSolve:
         assert report["htp_stop"] == "converged"
         # restart 1 is the tp solve, so a converged tp_mr stops there
         assert report["restarts_run"] == (1 if method == "tpmr" else None)
+
+    def test_tpmr_below_the_default_restart_count_runs(self, tmp_path):
+        # n = 10 is below the default b = 20, which solve cannot change
+        n, s, m = 10, 3, 8
+        rng = sp.trial_rng(sp.derive_trial_seed(7, n, s, m, 1))
+        x = sp.sample_signal(n, s, rng)
+        path = tmp_path / "inst.spr1"
+        sp.save_instance(path, x, sp.measure(x, m, rng))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["solve", "--instance", str(path), "--s", str(s),
+                         "--method", "tpmr"])
+        assert code == 0
+        report = json.loads(out.getvalue().splitlines()[1])
+        assert 1 <= report["chosen_restart"] <= report["restarts_run"] <= n
 
     def test_malformed_instance_exits_2(self, tmp_path):
         path = tmp_path / "bad.spr1"

@@ -82,15 +82,34 @@ class TestRunTrial:
         with pytest.raises(ConfigError):
             sp.run_trial(10, s, m, "tp", 0, 1, configs)
 
-    def test_more_restarts_than_coordinates_rejected_before_sampling(
-            self, monkeypatch):
+    def test_more_restarts_than_coordinates_capped_at_n(self):
+        # no restart converges on this undersampled cell, so restarts=n
+        # already runs every anchor
+        at_n, above = (sp.run_trial(10, 3, 8, "tp_mr", 1, 7,
+                                    sp.SolverConfigs(restarts=b),
+                                    record_timing=False) for b in (10, 15))
+        assert above == at_n
+
+    @pytest.mark.parametrize("seed,trial_index,field", [
+        (-1, 0, "seed"), (2**64, 0, "seed"),
+        (1, -1, "trial_index"), (1, 2**64, "trial_index"),
+    ])
+    def test_value_outside_64_bits_rejected_before_sampling(
+            self, seed, trial_index, field, monkeypatch):
+        # derive_trial_seed folds mod 2^64: -1 would alias 2^64 - 1
         def no_sampling(*args):
             raise AssertionError("sampled an invalid cell")
 
         monkeypatch.setattr(harness, "sample_signal", no_sampling)
-        with pytest.raises(ConfigError, match="restarts"):
-            sp.run_trial(10, 2, 20, "tp_mr", 0, 1,
-                         sp.SolverConfigs(restarts=11))
+        with pytest.raises(ConfigError, match=field):
+            sp.run_trial(10, 2, 20, "tp", trial_index, seed)
+
+    def test_largest_64_bit_seed_and_trial_index_accepted(self):
+        rec = sp.run_trial(10, 2, 20, "tp", 2**64 - 1, 2**64 - 1,
+                           record_timing=False)
+        assert rec.trial_index == 2**64 - 1
+        assert rec.seed_used == sp.derive_trial_seed(
+            2**64 - 1, 10, 2, 20, 2**64 - 1)
 
     def test_restarts_bind_tp_mr_only(self):
         rec = sp.run_trial(10, 2, 20, "tp", 0, 1,
@@ -260,17 +279,16 @@ class TestRunGrid:
         alone = sp.run_trial(32, 3, 60, "tp", 2, 77, record_timing=False)
         assert rec == alone
 
-    def test_more_restarts_than_coordinates_rejected_before_sampling(
-            self, monkeypatch):
-        def no_sampling(*args):
-            raise AssertionError("sampled a cell of an invalid grid")
-
-        monkeypatch.setattr(harness, "sample_signal", no_sampling)
-        with pytest.raises(ConfigError, match="restarts"):
-            run_grid(sp.ExperimentGrid(
-                n=16, s_list=(2,), m_list=(40,), trials=1, seed=1,
+    def test_more_restarts_than_coordinates_same_csv_as_n(self):
+        # n anchors exist, so a cap above n runs what restarts=n runs
+        def csv(b):
+            return sp.emit_csv(run_grid(sp.ExperimentGrid(
+                n=16, s_list=(4,), m_list=(12,), trials=2, seed=7,
                 methods=("tp", "tp_mr"),
-                configs=sp.SolverConfigs(restarts=17)))
+                configs=sp.SolverConfigs(restarts=b)),
+                record_timing=False).records)
+
+        assert csv(21) == csv(16)
 
     def test_restarts_up_to_n_accepted(self):
         grid = sp.ExperimentGrid(n=16, s_list=(2,), m_list=(40,), trials=1,
@@ -372,6 +390,12 @@ class TestCsv:
         with pytest.raises(ValueError):
             sp.parse_csv("a,b,c\n1,2,3\n")
 
+    @pytest.mark.parametrize("cell", ["yes", "true", "", "2", " 1"])
+    def test_success_cell_must_be_0_or_1(self, cell):
+        text = harness.CSV_HEADER + f"\n1,1,1,0,tp,1,{cell},0.5,0,1,,0\n"
+        with pytest.raises(ValueError, match="success must be 0 or 1"):
+            sp.parse_csv(text)
+
 
 class TestGridFromDict:
     def test_minimal_config(self):
@@ -381,6 +405,12 @@ class TestGridFromDict:
         })
         assert grid.m_list == (100, 200)
         assert grid.success_threshold == 1e-3
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            grid_from_dict({"n": 64, "s_list": [4], "m_list": [100],
+                            "trials": 1, "seed": seed, "methods": ["tp"]})
 
     def test_config_sections(self):
         grid = grid_from_dict({

@@ -73,15 +73,15 @@ class TestYColumn:
 
 
 class TestSupportRules:
-    def test_support_diag_single_row(self):
+    def test_spectral_support_single_row(self):
         e = one_row_ensemble([1.0, 2.0], 2.0)
-        np.testing.assert_array_equal(sp.support_diag(e, 1), [1])
+        np.testing.assert_array_equal(sp.spectral_init(e, 1).support, [1])
 
-    def test_support_diag_full(self):
+    def test_spectral_support_full(self):
         e = one_row_ensemble([1.0, 2.0], 2.0)
-        np.testing.assert_array_equal(sp.support_diag(e, 2), [0, 1])
+        np.testing.assert_array_equal(sp.spectral_init(e, 2).support, [0, 1])
 
-    def test_support_diag_recovery_rate(self):
+    def test_spectral_support_recovery_rate(self):
         # exact set recovery needs m far beyond desk scale (the diag gap is
         # min_j x_j^2); the oracle-computed event at this m is energy
         # capture: the estimated set holds >= 95% of signal energy
@@ -92,7 +92,8 @@ class TestSupportRules:
             x = sp.sample_signal(n, s, rng)
             e = sp.measure(x, m, rng)
             xd = x.to_dense()
-            cap = np.linalg.norm(xd[sp.support_diag(e, s)])**2 / x.norm**2
+            support = sp.spectral_init(e, s).support
+            cap = np.linalg.norm(xd[support])**2 / x.norm**2
             hits += cap >= 0.95
         assert hits >= 75
 
@@ -315,7 +316,7 @@ class TestModifiedSpectralInit:
 class TestSpectralInit:
     def test_exact_expectation_seam(self, small_instance, monkeypatch):
         x, e = small_instance
-        assert np.array_equal(sp.support_diag(e, x.s), x.support)
+        assert np.array_equal(sp.spectral_init(e, x.s).support, x.support)
         alpha = sp.truncated_gaussian_moment(2, 0.5, 10.0)
         beta = sp.truncated_gaussian_moment(4, 0.5, 10.0)
 
@@ -333,6 +334,12 @@ class TestSpectralInit:
         assert est.degenerate and est.j0 is None
         np.testing.assert_array_equal(est.support, [0])
         np.testing.assert_allclose(est.xhat, np.zeros(3))
+
+    @pytest.mark.parametrize("s", [0, 3])
+    def test_sparsity_out_of_range_rejected(self, s):
+        e = one_row_ensemble([1.0, 2.0], 2.0)
+        with pytest.raises(ValueError, match=r"need 1 <= s <= n"):
+            sp.spectral_init(e, s)
 
 
 class TestTpInit:

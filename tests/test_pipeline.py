@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,11 +81,20 @@ class TestSolveMultiRestart:
         again = sp.gradient_residual(e, rep.x)
         assert again == pytest.approx(rep.selection_residual, abs=1e-12)
 
-    def test_too_many_restarts_rejected(self, solved_instance):
-        x, e = solved_instance
-        with pytest.raises(ValueError):
-            sp.solve_multi_restart(e, x.s,
-                                   sp.SolverConfigs(restarts=e.n + 1))
+    def test_restarts_above_n_run_every_anchor_once(self):
+        # an undersampled instance on which no restart converges, so
+        # restarts=n runs all n anchors; a larger cap has no more to run
+        n, s, m = 16, 4, 12
+        rng = sp.trial_rng(sp.derive_trial_seed(7, n, s, m, 0))
+        x = sp.sample_signal(n, s, rng)
+        e = sp.measure(x, m, rng)
+        at_n, above = (sp.solve_multi_restart(e, s, sp.SolverConfigs(
+            restarts=b), truth=x.to_dense()) for b in (n, n + 5))
+        assert at_n.restarts_run == above.restarts_run == n
+        assert at_n.x.tobytes() == above.x.tobytes()
+        for f in dataclasses.fields(sp.SolveReport):
+            if f.name not in ("x", "init_elapsed", "refine_elapsed"):
+                assert getattr(above, f.name) == getattr(at_n, f.name), f.name
 
     def test_deterministic(self, solved_instance):
         x, e = solved_instance
