@@ -149,7 +149,7 @@ class ExperimentGrid:
 
 
 # thread-count (getter, setter) names of upstream OpenBLAS and of the
-# builds numpy and scipy wheels ship; 64_ marks 64-bit-integer builds
+# scipy-openblas build numpy's wheels ship; 64_ marks 64-bit-integer builds
 _BLAS_THREAD_API = [(f"{lib}_get_num_threads{tag}",
                      f"{lib}_set_num_threads{tag}")
                     for lib in ("openblas", "scipy_openblas")
@@ -188,9 +188,10 @@ def _single_blas_thread():
     """Hold every OpenBLAS to one thread, then restore the old counts.
 
     Grids are parallel across trials: BLAS threads on top of pool workers
-    oversubscribe the CPU (numpy and scipy each load an OpenBLAS, whose
-    idle threads spin against each other), and the BLAS thread count
-    moves the last bits of results, which must not depend on the cores.
+    oversubscribe the CPU (idle threads of numpy's OpenBLAS spin, and of
+    scipy's if a caller loaded it before the first grid), and the BLAS
+    thread count moves the last bits of results, which must not depend on
+    the cores.
     """
     saved = [(put, get()) for get, put in _blas_thread_controls()]
     _one_blas_thread()

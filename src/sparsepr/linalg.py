@@ -1,10 +1,10 @@
 """Dense symmetric eigen-kernel and support-restricted least squares.
 
 Everything else in the package works matrix-free; the two dense kernels
-live here. Both hand a small |S| x |S| matrix to LAPACK: a symmetric
-eigensolve for the top eigenpair and a Cholesky solve for least squares.
-Both are deterministic functions of their inputs, and the eigenvector
-sign is pinned so repeated runs agree bitwise.
+live here. Both hand a small |S| x |S| matrix to ``numpy.linalg``: a
+symmetric eigensolve for the top eigenpair and a Cholesky solve for
+least squares. Both are deterministic functions of their inputs, and
+the eigenvector sign is pinned so repeated runs agree bitwise.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ def top_eigenvector(matrix) -> TopEigResult:
     """Top (largest algebraic) eigenpair of a finite square matrix, taken
     as symmetric: the solve runs on 0.5 * (M + M^T).
 
-    One LAPACK call (``scipy.linalg.eigh`` restricted to the last index)
+    One LAPACK call (``numpy.linalg.eigh``, whose last pair is the top one)
     computes the pair directly, so there are no power steps: the result
     always reports ``iterations=0`` and ``converged=True``. A LAPACK
     failure raises ``LinAlgError``. The returned vector has unit length
@@ -71,9 +70,8 @@ def top_eigenvector(matrix) -> TopEigResult:
         v[0] = 1.0
         return TopEigResult(v, 0.0, True, True, 0)
 
-    values, vectors = scipy.linalg.eigh(M, subset_by_index=[k - 1, k - 1],
-                                        check_finite=False)
-    return TopEigResult(_fix_sign(vectors[:, 0]), float(values[0]), True,
+    values, vectors = np.linalg.eigh(M)
+    return TopEigResult(_fix_sign(vectors[:, -1]), float(values[-1]), True,
                         False, 0)
 
 
@@ -83,9 +81,10 @@ _RIDGE_SCALE = 1e-12
 def restricted_least_squares(A, support, b):
     """Least squares over the columns of A indexed by ``support``.
 
-    Solves min ||A[:, support] z - b||_2 through the normal equations with
-    a Cholesky factor of the restricted Gram matrix (|support| is small, so
-    the squared conditioning is acceptable). A rank-deficient Gram matrix
+    Solves min ||A[:, support] z - b||_2 through the normal equations: the
+    restricted Gram matrix G = L L^T is factored by ``numpy.linalg.cholesky``
+    and z comes from solves with L and then L^T (|support| is small, so the
+    squared conditioning is acceptable). A rank-deficient Gram matrix
     falls back to a ridge of ``1e-12 * trace / |support|`` and flags
     the result.
 
@@ -115,9 +114,9 @@ def restricted_least_squares(A, support, b):
     rhs = As.T @ b
     ridged = False
     try:
-        cho = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-        z = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        L = np.linalg.cholesky(gram)
+        z = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+    except np.linalg.LinAlgError:
         lam = _RIDGE_SCALE * float(np.trace(gram)) / support.size
         if lam <= 0.0:
             lam = _RIDGE_SCALE

@@ -213,8 +213,10 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _pdf(t: float) -> float:
-    return math.exp(-0.5 * t * t) * _INV_SQRT_2PI
+def _pdf_term(t: float, k: int) -> float:
+    """t^k phi(t), and 0 where phi(t) underflows (t^k may overflow there)."""
+    phi = math.exp(-0.5 * t * t) * _INV_SQRT_2PI
+    return t**k * phi if phi else 0.0
 
 
 def _cdf(t: float) -> float:
@@ -237,8 +239,8 @@ def truncated_gaussian_moment(k: int, a1: float, a2: float) -> float:
     if not (0 <= a1 < a2):
         raise ValueError("need 0 <= a1 < a2")
     cdf_gap = _cdf(a2) - _cdf(a1)
-    edge1 = a2 * _pdf(a2) - a1 * _pdf(a1)
+    edge1 = _pdf_term(a2, 1) - _pdf_term(a1, 1)
     if k == 2:
         return 2.0 * (cdf_gap - edge1)
-    edge3 = a2**3 * _pdf(a2) - a1**3 * _pdf(a1)
+    edge3 = _pdf_term(a2, 3) - _pdf_term(a1, 3)
     return 2.0 * (3.0 * cdf_gap - edge3 - 3.0 * edge1)

@@ -27,6 +27,12 @@ class TestMoments:
         assert float(values["alpha"]) == pytest.approx(0.969, abs=1e-3)
         assert float(values["beta"]) == pytest.approx(2.995, abs=1e-3)
 
+    def test_far_finite_edge_is_the_whole_line(self):
+        # u^3 overflows a float; phi(u) underflows, so the band is |g| >= 0
+        proc = run_cli(["moments", "--l", "0", "--u", "1e200"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "alpha = 1\nbeta = 3\n"
+
     def test_invalid_band_is_config_error(self):
         proc = run_cli(["moments", "--l", "5", "--u", "1"])
         assert proc.returncode == 2

@@ -224,6 +224,19 @@ class TestTruncatedGaussianMoment:
                 ours = sp.truncated_gaussian_moment(k, a1, a2)
                 assert ours == pytest.approx(target, abs=1e-9)
 
+    @pytest.mark.parametrize("a2", [1e200, math.inf])
+    @pytest.mark.parametrize("a1", [0.0, 0.5, 2.0])
+    def test_far_edge_is_the_upper_tail(self, a1, a2):
+        # phi(a2) underflows to 0 (and a2^3 overflows), so the band is the
+        # tail |g| >= a1: 2 a1 phi(a1) + P(|g| >= a1) for order 2 and
+        # 2 (a1^3 + 3 a1) phi(a1) + 3 P(|g| >= a1) for order 4
+        tail = math.erfc(a1 / math.sqrt(2))
+        phi = math.exp(-a1 * a1 / 2) / math.sqrt(2 * math.pi)
+        assert sp.truncated_gaussian_moment(2, a1, a2) == pytest.approx(
+            2 * a1 * phi + tail, rel=1e-12)
+        assert sp.truncated_gaussian_moment(4, a1, a2) == pytest.approx(
+            2 * (a1**3 + 3 * a1) * phi + 3 * tail, rel=1e-12)
+
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             sp.truncated_gaussian_moment(3, 0.0, 1.0)
