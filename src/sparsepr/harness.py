@@ -20,7 +20,6 @@ import concurrent.futures
 import contextlib
 import ctypes
 from dataclasses import dataclass, field, fields
-import functools
 import math
 import os
 import time
@@ -156,10 +155,9 @@ _BLAS_THREAD_API = [(f"{lib}_get_num_threads{tag}",
                     for tag in ("", "64_")]
 
 
-@functools.cache
 def _blas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of every OpenBLAS in the process,
-    found in its memory map (Linux); empty where that cannot be read."""
+    """(get, set) thread-count functions of every OpenBLAS mapped into the
+    process now (Linux, read afresh each call); empty where that fails."""
     try:
         with open("/proc/self/maps") as maps:
             paths = {line.split(None, 5)[-1].strip()
@@ -189,12 +187,12 @@ def _single_blas_thread():
 
     Grids are parallel across trials: BLAS threads on top of pool workers
     oversubscribe the CPU (idle threads of numpy's OpenBLAS spin, and of
-    scipy's if a caller loaded it before the first grid), and the BLAS
-    thread count moves the last bits of results, which must not depend on
-    the cores.
+    scipy's if a caller loaded it), and the BLAS thread count moves the
+    last bits of results, which must not depend on the cores.
     """
     saved = [(put, get()) for get, put in _blas_thread_controls()]
-    _one_blas_thread()
+    for put, _ in saved:
+        put(1)
     try:
         yield
     finally:

@@ -20,6 +20,9 @@ Three initializers are provided:
   vector, then a final projection back to s-sparse vectors.
 
 Each returns nu times a unit s-sparse vector, so the output has norm nu.
+
+One ranking rule (largest first, ties to the smaller index) selects each
+support and TP's truncation T_s' by magnitude, and the anchors by Y_jj.
 """
 
 from __future__ import annotations
@@ -93,39 +96,31 @@ class InitEstimate:
     iterations_run: int
 
 
-def top_magnitude_mask(values, k: int) -> np.ndarray:
-    """Mask of the k largest |values| of a vector; ties go to the smaller
-    index. k >= len(values) keeps everything."""
-    mag = np.abs(np.asarray(values, dtype=float))
-    if mag.ndim != 1:
+def _ranked(values, k: int) -> np.ndarray:
+    """Indices of the k largest entries of a vector, largest first, ties to
+    the smaller index: the one ranking rule of every selection here."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
         raise ValueError("values must be a vector")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    n = mag.size
-    if k >= n:
-        return np.ones(n, dtype=bool)
-    if k == 0:
-        return np.zeros(n, dtype=bool)
-    kth = np.partition(mag, n - k)[n - k]  # the k-th largest
-    mask = mag > kth
-    at_kth = mag == kth
-    # the places left after the strict winners go to the ties at the cut,
-    # smaller indices first
-    room = k - np.count_nonzero(mask)
-    return mask | (at_kth & (np.cumsum(at_kth) <= room))
+    return np.argsort(-values, kind="stable")[:k]
 
 
 def top_magnitude_indices(values, k: int) -> np.ndarray:
     """Indices of the k largest |values| of a vector, sorted ascending; ties
     go to the smaller index. k >= len(values) returns every index."""
-    return np.flatnonzero(top_magnitude_mask(values, k))
+    return np.sort(_ranked(np.abs(values), k))
 
 
 def truncate(w, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries of the vector w, zero the
     rest; ties at the cut go to the smaller index."""
     w = np.asarray(w, dtype=float)
-    return np.where(top_magnitude_mask(w, k), w, 0.0)
+    keep = _ranked(np.abs(w), k)
+    out = np.zeros_like(w)
+    out[keep] = w[keep]
+    return out
 
 
 def y_diag(e: Ensemble) -> np.ndarray:
@@ -143,8 +138,7 @@ def y_column(e: Ensemble, j0: int) -> np.ndarray:
 def diagonal_anchors(diag, b: int) -> np.ndarray:
     """The b anchors of the anchored initializers: indices of the largest
     diagonal entries, largest first, ties to the smaller index."""
-    diag = np.asarray(diag, dtype=float)
-    return np.lexsort((np.arange(diag.size), -diag))[:b]
+    return _ranked(diag, b)
 
 
 def _in_band(e: Ensemble, l: float, u: float) -> np.ndarray:
@@ -274,8 +268,7 @@ def tp_init(e: Ensemble, s: int, cfg: InitConfig | None = None, *,
             break
 
     keep = top_magnitude_indices(w, s)
-    xs = np.zeros(e.n)
-    xs[keep] = w[keep]
+    xs = truncate(w, s)
     xhat = e.nu * (xs / np.linalg.norm(xs))
     if magnitude_misfit(e, xhat) > magnitude_misfit(e, seed.xhat):
         return replace(seed, iterations_run=t)

@@ -167,15 +167,10 @@ def measure(x: SparseSignal, m: int, rng: np.random.Generator) -> Ensemble:
 
 
 def apply_sensing(e: Ensemble, x: np.ndarray) -> np.ndarray:
-    """A x; an x with at most n/4 nonzeros multiplies only those columns.
-
-    The column gather agrees with the dense product up to roundoff, and a
-    given x always takes the same path.
-    """
+    """A x from the columns where x is nonzero, as every solver stage
+    passes an s-sparse x; a dense x gives A @ x up to roundoff."""
     nz = np.flatnonzero(x)
-    if 0 < nz.size <= e.n // 4:
-        return e.A[:, nz] @ x[nz]
-    return e.A @ x
+    return e.A[:, nz] @ x[nz]
 
 
 def sgn(z) -> np.ndarray:

@@ -1,8 +1,11 @@
 import contextlib
 import dataclasses
 import io
+import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -236,6 +239,38 @@ def small_grid():
                              seed=77, methods=("spectral", "tp"))
 
 
+# runs a trial, so the pin has read the memory map once, then loads
+# scipy's own OpenBLAS, sets its threads to 2 and reads its count inside
+# the pin and after it
+_LATE_BLAS_SCRIPT = """
+import ctypes, json
+import sparsepr as sp
+from sparsepr import harness
+
+def openblas_paths():
+    with open("/proc/self/maps") as maps:
+        return {line.split(None, 5)[-1].strip()
+                for line in maps if "openblas" in line}
+
+sp.run_trial(40, 3, 120, "tp", 0, 1)
+early = openblas_paths()
+import scipy.linalg
+late = []
+for path in sorted(openblas_paths() - early):
+    lib = ctypes.CDLL(path)
+    late += [(getattr(lib, get), getattr(lib, put))
+             for get, put in harness._BLAS_THREAD_API
+             if hasattr(lib, get) and hasattr(lib, put)]
+for _, put in late:
+    put(2)
+counts = {"set": [get() for get, _ in late]}
+with harness._single_blas_thread():
+    counts["inside"] = [get() for get, _ in late]
+counts["after"] = [get() for get, _ in late]
+print(json.dumps(counts))
+"""
+
+
 class TestRunGrid:
     def test_record_count_and_order(self, small_grid):
         result = run_grid(small_grid, parallelism=1, record_timing=False)
@@ -275,6 +310,21 @@ class TestRunGrid:
         run_grid(small_grid, parallelism=1, record_timing=False)
         assert seen and all(counts == [1] * len(controls) for counts in seen)
         assert [get() for get, _ in controls] == before
+
+    def test_blas_loaded_after_the_first_trial_is_pinned(self):
+        pytest.importorskip("scipy")
+        if not os.access("/proc/self/maps", os.R_OK):
+            pytest.skip("no memory map to find OpenBLAS in")
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", _LATE_BLAS_SCRIPT],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout.splitlines()[-1])
+        if not counts["set"] or counts["set"] != [2] * len(counts["set"]):
+            pytest.skip("scipy loads no second OpenBLAS that runs 2 threads")
+        assert counts["inside"] == [1] * len(counts["set"])
+        assert counts["after"] == counts["set"]
 
     def test_matches_individual_run_trial(self, small_grid):
         result = run_grid(small_grid, parallelism=1, record_timing=False)

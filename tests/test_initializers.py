@@ -162,6 +162,19 @@ class TestTruncate:
         np.testing.assert_array_equal(
             top_magnitude_indices([1.0, -1.0, 1.0], 2), [0, 1])
 
+    @pytest.mark.parametrize("select", [top_magnitude_indices, sp.truncate,
+                                        sp.diagonal_anchors])
+    def test_negative_count_refused(self, select):
+        # refused, not read as a slice from the end
+        with pytest.raises(ValueError, match="nonnegative"):
+            select([3.0, 1.0, 2.0], -1)
+
+    @pytest.mark.parametrize("select", [top_magnitude_indices, sp.truncate,
+                                        sp.diagonal_anchors])
+    def test_non_vector_refused(self, select):
+        with pytest.raises(ValueError, match="vector"):
+            select(np.ones((2, 2)), 1)
+
 
 class TestYbarMatvec:
     def test_indicator_one_single_row(self):

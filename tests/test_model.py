@@ -113,9 +113,11 @@ class TestApplySensing:
     def test_sparse_gather_matches_dense(self):
         rng = sp.trial_rng(4)
         e = sp.measure(sp.sample_signal(40, 3, rng), 25, rng)
-        for k in (0, 1, 10, 11, 40):  # gather up to n // 4 = 10 nonzeros
+        # one gather path for the zero x, sparse x and the all-nonzero x
+        for k in (0, 1, 10, 11, 40):
             x = np.zeros(40)
             x[:k] = rng.standard_normal(k)
+            assert np.count_nonzero(x) == k
             np.testing.assert_allclose(apply_sensing(e, x), e.A @ x,
                                        atol=1e-12)
 

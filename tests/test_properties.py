@@ -1,12 +1,12 @@
-"""Property tests: malformed outside input and the top-k kernel.
+"""Property tests: malformed outside input and the one ranking rule.
 
 Grid configs arrive as JSON and instances as SPR1 text. The CLI maps
 ConfigError and InstanceFormatError to exit code 2, so any other
 exception from these two readers would end in a traceback. The SPR1
 reader's bulk parse must do what a line-by-line ``float`` parse does.
-No solver runs here. The top-k mask that TP and HTP select with, and
-the diagonal anchor order of the anchored initializers, are checked
-against the full-sort rule on tie-heavy inputs.
+No solver runs here. The one ranking rule that TP, HTP and the
+anchored initializers select with (top-k, truncation and the diagonal
+anchor order) is checked against a full sort on tie-heavy inputs.
 """
 
 import contextlib
@@ -26,8 +26,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from sparsepr import (HtpConfig, InitConfig, cli,  # noqa: E402
-                      diagonal_anchors, harness, top_magnitude_mask)
+                      diagonal_anchors, harness, truncate)
 from sparsepr.harness import ConfigError, grid_from_dict  # noqa: E402
+from sparsepr.initializers import top_magnitude_indices  # noqa: E402
 from sparsepr.instance_io import (InstanceFormatError,  # noqa: E402
                                   _parse_floats, load_instance)
 
@@ -280,43 +281,30 @@ def test_negative_observation_names_the_observation_line(case):
 
 @st.composite
 def tie_heavy_vectors(draw):
-    """(values, k): a vector of small signed integers, so many magnitudes
-    tie, and k from 0 to n + 1."""
+    """(values, k): a vector of small signed integers and signed zeros, so
+    many entries and magnitudes tie, and k from 0 to n + 1."""
     n = draw(st.integers(1, 12))
-    values = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    return np.array(values, dtype=float), draw(st.integers(0, n + 1))
+    values = draw(st.lists(st.sampled_from(
+        [-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0]),
+        min_size=n, max_size=n))
+    return np.array(values), draw(st.integers(0, n + 1))
 
 
-def _lexsort_mask(column, k):
-    # descending magnitude, ties to the smaller index, first k kept
-    order = np.lexsort((np.arange(column.size), -np.abs(column)))
-    mask = np.zeros(column.size, dtype=bool)
-    mask[order[:k]] = True
-    return mask
+def _sort_rule(values, k):
+    # largest first, ties to the smaller index, first k kept
+    return sorted(range(values.size), key=lambda j: (-values[j], j))[:k]
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(tie_heavy_vectors())
-def test_top_magnitude_mask_is_the_lexsort_rule(case):
+def test_selections_are_the_sort_rule(case):
     values, k = case
-    mask = top_magnitude_mask(values, k)
-    assert mask.shape == values.shape and mask.dtype == bool
-    np.testing.assert_array_equal(mask, _lexsort_mask(values, k))
-
-
-@st.composite
-def tie_heavy_diagonals(draw):
-    """(diag, b): a nonnegative integer diagonal with many ties, and b from
-    1 to n."""
-    n = draw(st.integers(1, 12))
-    diag = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    return np.array(diag, dtype=float), draw(st.integers(1, n))
-
-
-@settings(derandomize=True, deadline=None, max_examples=400)
-@given(tie_heavy_diagonals())
-def test_diagonal_anchors_is_the_sort_rule(case):
-    d, b = case
-    want = sorted(range(d.size), key=lambda j: (-d[j], j))[:b]
-    assert diagonal_anchors(d, b).tolist() == want
-    assert diagonal_anchors(d, 1)[0] == np.argmax(d)
+    top = sorted(_sort_rule(np.abs(values), k))
+    assert top_magnitude_indices(values, k).tolist() == top
+    kept = np.zeros(values.size)
+    kept[top] = values[top]
+    truncated = truncate(values, k)
+    np.testing.assert_array_equal(truncated, kept)
+    assert np.array_equal(np.signbit(truncated), np.signbit(kept))
+    assert diagonal_anchors(values, k).tolist() == _sort_rule(values, k)
+    assert diagonal_anchors(values, 1)[0] == np.argmax(values)
