@@ -297,7 +297,8 @@ def _sort_rule(values, k):
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(tie_heavy_vectors())
-def test_selections_are_the_sort_rule(case):
+def test_top_magnitude_mask_is_the_lexsort_rule(case):
+    # top_magnitude_indices and truncate keep the k largest magnitudes
     values, k = case
     top = sorted(_sort_rule(np.abs(values), k))
     assert top_magnitude_indices(values, k).tolist() == top
@@ -306,5 +307,12 @@ def test_selections_are_the_sort_rule(case):
     truncated = truncate(values, k)
     np.testing.assert_array_equal(truncated, kept)
     assert np.array_equal(np.signbit(truncated), np.signbit(kept))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(tie_heavy_vectors())
+def test_diagonal_anchors_is_the_sort_rule(case):
+    # the anchor order is the same rule on the signed values
+    values, k = case
     assert diagonal_anchors(values, k).tolist() == _sort_rule(values, k)
     assert diagonal_anchors(values, 1)[0] == np.argmax(values)
