@@ -95,10 +95,10 @@ class TrialRecord:
 class ExperimentGrid:
     """A (method, s, m, trial) product driving ``run_grid``.
 
-    Checked when built: n, trials, seed and every s and m are integers
-    (integral floats become ints), seed lies in [0, 2^64),
-    success_threshold is a finite number, and a value out of range, or
-    repeated within s_list, m_list or methods, raises ConfigError.
+    Checked when built, else ConfigError: n, trials, seed and every s and
+    m are integers (integral floats become ints), seed lies in [0, 2^64),
+    configs is a SolverConfigs, success_threshold is a finite number, and
+    no value is out of range or repeated within s_list, m_list or methods.
     """
 
     n: int
@@ -124,6 +124,9 @@ class ExperimentGrid:
             raise ConfigError("grid needs n >= 1 and nonempty s/m lists")
         if any(not 1 <= s <= self.n for s in self.s_list):
             raise ConfigError("every s must satisfy 1 <= s <= n")
+        if not isinstance(self.configs, SolverConfigs):
+            raise ConfigError(
+                f"configs must be SolverConfigs, got {self.configs!r}")
         for s in self.s_list:
             self.configs.init.resolve_s_prime(s, self.n)
         if any(m < 1 for m in self.m_list):
@@ -176,16 +179,12 @@ def _blas_thread_controls() -> tuple:
     return tuple(controls)
 
 
-def _one_blas_thread() -> None:
-    for _, put in _blas_thread_controls():
-        put(1)
-
-
 @contextlib.contextmanager
 def _single_blas_thread():
     """Hold every OpenBLAS to one thread, then restore the old counts.
 
-    Grids are parallel across trials: BLAS threads on top of pool workers
+    Every trial samples and solves inside this pin (``_cell_task``), in
+    the caller or a pool worker: BLAS threads on top of pool workers
     oversubscribe the CPU (idle threads of numpy's OpenBLAS spin, and of
     scipy's if a caller loaded it), and the BLAS thread count moves the
     last bits of results, which must not depend on the cores.
@@ -204,9 +203,13 @@ def solve(e: Ensemble, s: int, method: str,
           configs: SolverConfigs | None = None, truth=None) -> SolveReport:
     """Run one of METHODS on an ensemble: tp_mr restarts the truncated
     power method from ``configs.restarts`` anchors, the others run one
-    initializer followed by HTP."""
+    initializer followed by HTP. An unknown method, or s > m, raises
+    ConfigError before any work."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
+    if s > e.m:
+        # HTP's least squares on s columns needs at least s equations
+        raise ConfigError(f"s must be at most m: s = {s} > m = {e.m}")
     if method == "tp_mr":
         return solve_multi_restart(e, s, configs, truth=truth)
     return solve_two_stage(e, s, method, configs, truth=truth)
@@ -229,31 +232,30 @@ def run_trial(n: int, s: int, m: int, method: str, trial_index: int,
                           seed=grid_seed, methods=(method,),
                           success_threshold=success_threshold,
                           configs=configs or SolverConfigs())
-    task = (grid, record_timing, grid.s_list[0], grid.m_list[0],
-            _word64(trial_index, "trial_index"))
-    with _single_blas_thread():
-        return _cell_task(task)[0]
+    return _cell_task((grid, record_timing, grid.s_list[0], grid.m_list[0],
+                       _word64(trial_index, "trial_index")))[0]
 
 
 def _cell_task(args):
     grid, record_timing, s, m, trial_index = args
     seed = derive_trial_seed(grid.seed, grid.n, s, m, trial_index)
-    rng = trial_rng(seed)
-    signal = sample_signal(grid.n, s, rng)
-    ensemble = measure(signal, m, rng)
-    truth = signal.to_dense()
     records = []
-    for method in grid.methods:
-        t0 = time.perf_counter()
-        report = solve(ensemble, s, method, grid.configs, truth=truth)
-        elapsed_ms = (time.perf_counter() - t0) * 1e3 if record_timing else 0.0
-        records.append(TrialRecord(
-            n=grid.n, s=s, m=m, trial_index=trial_index, method=method,
-            seed_used=seed,
-            success=bool(report.rel_error <= grid.success_threshold),
-            rel_error=report.rel_error, init_dist=report.init_dist,
-            htp_iters=report.iterations,
-            chosen_restart=report.chosen_restart, elapsed_ms=elapsed_ms))
+    with _single_blas_thread():
+        rng = trial_rng(seed)
+        signal = sample_signal(grid.n, s, rng)
+        ensemble = measure(signal, m, rng)
+        truth = signal.to_dense()
+        for method in grid.methods:
+            t0 = time.perf_counter()
+            report = solve(ensemble, s, method, grid.configs, truth=truth)
+            secs = time.perf_counter() - t0 if record_timing else 0.0
+            records.append(TrialRecord(
+                n=grid.n, s=s, m=m, trial_index=trial_index, method=method,
+                seed_used=seed,
+                success=bool(report.rel_error <= grid.success_threshold),
+                rel_error=report.rel_error, init_dist=report.init_dist,
+                htp_iters=report.iterations,
+                chosen_restart=report.chosen_restart, elapsed_ms=secs * 1e3))
     return records
 
 
@@ -342,9 +344,9 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1,
 
     Methods within a cell share the sampled data (paired comparisons).
     Tasks run across a process pool when parallelism > 1, with no more
-    workers than tasks or CPUs. BLAS runs on one thread throughout, in
-    the caller and in every worker. Records come back sorted by (method,
-    s, m, trial_index), independent of the worker count.
+    workers than tasks or CPUs. Each trial runs BLAS on one thread while
+    it samples and solves. Records come back sorted by (method, s, m,
+    trial_index), independent of the worker count.
     """
     parallelism = _integer(parallelism, "parallelism")
     if parallelism < 1:
@@ -354,14 +356,11 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1,
              for m in grid.m_list
              for t in range(grid.trials)]
     workers = _workers(parallelism, len(tasks))
-    with _single_blas_thread():
-        if workers == 1:
-            batches = [_cell_task(t) for t in tasks]
-        else:
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_one_blas_thread) as pool:
-                batches = list(pool.map(_cell_task, tasks, chunksize=1))
+    if workers == 1:
+        batches = [_cell_task(t) for t in tasks]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+            batches = list(pool.map(_cell_task, tasks, chunksize=1))
     records = [r for batch in batches for r in batch]
     records.sort(key=lambda r: (r.method, r.s, r.m, r.trial_index))
     return GridResult(records=records, cells=aggregate(records))

@@ -27,7 +27,6 @@ support and TP's truncation T_s' by magnitude, and the anchors by Y_jj.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,12 +35,9 @@ from .linalg import top_eigenvector
 from .model import (ConfigError, Ensemble, _integer, _real, apply_sensing,
                     dist)
 
-_CONTRACTION = 0.98   # per-iteration factor the default budget assumes
-_BASIN = 0.125        # refinement basin radius the budget targets
-
-# iteration budget ceil(log(200/basin) / log(1/0.98)) = 366
-DEFAULT_T_MAX = math.ceil(math.log(200.0 / _BASIN)
-                          / math.log(1.0 / _CONTRACTION))
+# TP iteration budget ceil(log(200/0.125) / log(1/0.98)): a contraction by
+# 0.98 per step reaching the refinement basin of radius 0.125 from 200
+DEFAULT_T_MAX = 366
 STEP_TOL = 1e-8       # TP stops once dist(w_t, w_{t-1}) is at most this
 
 

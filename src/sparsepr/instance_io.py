@@ -150,7 +150,4 @@ def load_instance(path) -> tuple[Ensemble, SparseSignal]:
     if np.any(y < 0):
         raise InstanceFormatError(3 + m, "observations must be nonnegative")
 
-    A.flags.writeable = False
-    y.flags.writeable = False
-    ensemble = Ensemble(n=n, m=m, A=A, y=y)
-    return ensemble, signal
+    return Ensemble(n=n, m=m, A=A, y=y), signal

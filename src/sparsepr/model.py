@@ -108,9 +108,8 @@ class Ensemble:
     """Sensing matrix A (m x n), magnitude observations y, derived nu.
 
     nu = sqrt(mean(y^2)) estimates ||x||_2 and is computed once from y at
-    construction. Instances are treated as immutable; the factory
-    functions mark the arrays read-only so an ensemble can be shared
-    across threads.
+    construction, which then marks A and y read-only: nu cannot go stale,
+    and an ensemble can be shared across threads.
     """
 
     n: int
@@ -128,14 +127,15 @@ class Ensemble:
             raise ValueError("observations must be nonnegative")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.y))):
             raise ValueError("ensemble entries must be finite")
+        self.A.flags.writeable = False
+        self.y.flags.writeable = False
         object.__setattr__(self, "nu", norm_estimate(self.y))
 
     @classmethod
     def from_measurements(cls, A, y) -> "Ensemble":
+        """An ensemble of copies, so the caller's A and y stay writable."""
         A = np.array(A, dtype=float)
         y = np.array(y, dtype=float)
-        A.flags.writeable = False
-        y.flags.writeable = False
         return cls(n=A.shape[1], m=A.shape[0], A=A, y=y)
 
 
@@ -161,8 +161,6 @@ def measure(x: SparseSignal, m: int, rng: np.random.Generator) -> Ensemble:
         raise ValueError("need at least one measurement")
     A = rng.standard_normal((m, x.n))
     y = np.abs(A[:, x.support] @ x.values)
-    A.flags.writeable = False
-    y.flags.writeable = False
     return Ensemble(n=x.n, m=m, A=A, y=y)
 
 

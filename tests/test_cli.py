@@ -380,6 +380,21 @@ class TestSolve:
         report = json.loads(out.getvalue().splitlines()[1])
         assert 1 <= report["chosen_restart"] <= report["restarts_run"] <= n
 
+    def test_s_above_m_exits_2_before_solving(self, tmp_path, monkeypatch,
+                                              capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved with s > m")
+
+        monkeypatch.setattr(harness, "solve_two_stage", no_solve)
+        rng = sp.trial_rng(5)
+        x = sp.sample_signal(10, 3, rng)
+        path = tmp_path / "inst.spr1"
+        sp.save_instance(path, x, sp.measure(x, 5, rng))
+        code = main(["solve", "--instance", str(path), "--s", "8",
+                     "--method", "tp"])
+        assert code == 2
+        assert "s = 8 > m = 5" in capsys.readouterr().err
+
     def test_malformed_instance_exits_2(self, tmp_path):
         path = tmp_path / "bad.spr1"
         path.write_text("SPR1 1 1\n")

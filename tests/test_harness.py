@@ -188,6 +188,18 @@ class TestSettingsCheckThemselves:
         with pytest.raises(ConfigError, match=f"{field} repeats"):
             sp.ExperimentGrid(n=32, trials=3, seed=1, **cell)
 
+    @pytest.mark.parametrize("configs", [
+        None, {"restarts": 5}, sp.InitConfig(),
+    ], ids=["None", "dict", "InitConfig"])
+    def test_grid_configs_not_solver_configs_refused(self, configs):
+        with pytest.raises(ConfigError, match="configs"):
+            sp.ExperimentGrid(n=10, s_list=(2,), m_list=(20,), trials=1,
+                              seed=0, methods=("tp",), configs=configs)
+
+    def test_run_trial_configs_not_solver_configs_refused(self):
+        with pytest.raises(ConfigError, match="configs"):
+            sp.run_trial(10, 2, 20, "tp", 0, 0, configs=sp.InitConfig())
+
     def test_integral_floats_become_ints(self):
         assert type(sp.HtpConfig(max_iters=50.0).max_iters) is int
         assert sp.HtpConfig(max_iters=50.0).max_iters == 50
@@ -271,6 +283,33 @@ print(json.dumps(counts))
 """
 
 
+# patches harness.solve with a spy that refuses to solve unless every
+# OpenBLAS reads one thread, then runs a 2-worker grid; the patch reaches
+# the workers only where the pool forks them
+_POOLED_PIN_SCRIPT = """
+import multiprocessing, sys
+import sparsepr as sp
+from sparsepr import harness
+
+if multiprocessing.get_start_method() != "fork":
+    sys.exit("skip: pool workers do not fork, so the spy misses them")
+if not harness._blas_thread_controls():
+    sys.exit("skip: no OpenBLAS found to pin")
+solve = harness.solve
+
+def spy(*args, **kwargs):
+    counts = [get() for get, _ in harness._blas_thread_controls()]
+    if counts != [1] * len(counts):
+        raise AssertionError(f"solved with BLAS thread counts {counts}")
+    return solve(*args, **kwargs)
+
+harness.solve = spy
+grid = sp.ExperimentGrid(n=1000, s_list=(5,), m_list=(150,), trials=2,
+                         seed=3, methods=("tp",))
+print(len(sp.run_grid(grid, parallelism=2, record_timing=False).records))
+"""
+
+
 class TestRunGrid:
     def test_record_count_and_order(self, small_grid):
         result = run_grid(small_grid, parallelism=1, record_timing=False)
@@ -300,13 +339,13 @@ class TestRunGrid:
             assert controls
         before = [get() for get, _ in controls]
         seen = []
-        cell_task = harness._cell_task
+        solve = harness.solve
 
-        def spy(args):
+        def spy(*args, **kwargs):
             seen.append([get() for get, _ in controls])
-            return cell_task(args)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "_cell_task", spy)
+        monkeypatch.setattr(harness, "solve", spy)
         run_grid(small_grid, parallelism=1, record_timing=False)
         assert seen and all(counts == [1] * len(controls) for counts in seen)
         assert [get() for get, _ in controls] == before
@@ -325,6 +364,19 @@ class TestRunGrid:
             pytest.skip("scipy loads no second OpenBLAS that runs 2 threads")
         assert counts["inside"] == [1] * len(counts["set"])
         assert counts["after"] == counts["set"]
+
+    def test_pool_workers_pin_blas_without_the_variable(self):
+        if not os.access("/proc/self/maps", os.R_OK):
+            pytest.skip("no memory map to find OpenBLAS in")
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", _POOLED_PIN_SCRIPT],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        if proc.stderr.startswith("skip: "):
+            pytest.skip(proc.stderr[len("skip: "):].strip())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "2"
 
     def test_matches_individual_run_trial(self, small_grid):
         result = run_grid(small_grid, parallelism=1, record_timing=False)

@@ -102,6 +102,23 @@ class TestMeasure:
         with pytest.raises(ValueError):
             e.A[0, 0] = 1.0
 
+    def test_directly_built_ensemble_arrays_read_only(self):
+        # a write to y after construction would leave the cached nu stale
+        a, y = np.ones((2, 3)), np.array([3.0, 4.0])
+        e = sp.Ensemble(n=3, m=2, A=a, y=y)
+        with pytest.raises(ValueError):
+            y[0] = 0.0
+        with pytest.raises(ValueError):
+            a[0, 0] = 2.0
+        assert e.nu == sp.norm_estimate([3.0, 4.0])
+
+    def test_from_measurements_leaves_callers_arrays_writable(self):
+        a, y = np.ones((2, 3)), np.array([3.0, 4.0])
+        e = sp.Ensemble.from_measurements(a, y)
+        a[0, 0], y[0] = 2.0, 0.0  # copies were frozen, not these
+        assert e.A[0, 0] == 1.0 and e.y[0] == 3.0
+        assert not (e.A.flags.writeable or e.y.flags.writeable)
+
     def test_nu_derived_not_passed(self):
         e = sp.Ensemble.from_measurements(np.ones((2, 3)), [3.0, 4.0])
         assert e.nu == sp.norm_estimate([3.0, 4.0])
