@@ -10,10 +10,10 @@ from .harness import (CellSummary, ExperimentGrid, GridResult, TrialRecord,
                       aggregate, derive_trial_seed, emit_csv, parse_csv,
                       run_grid, run_trial, solve, summary_table, trial_rng,
                       wilson_interval)
-from .initializers import (InitConfig, InitEstimate, YbarOperator,
-                           diagonal_anchors, modified_spectral_init,
-                           restricted_ybar, spectral_init, tp_init, truncate,
-                           y_column, y_diag, ybar_matvec, ybar_operator)
+from .initializers import (InitEstimate, YbarOperator, diagonal_anchors,
+                           modified_spectral_init, restricted_ybar,
+                           spectral_init, tp_init, truncate, y_column, y_diag,
+                           ybar_matvec, ybar_operator)
 from .instance_io import InstanceFormatError, load_instance, save_instance
 from .linalg import restricted_least_squares, top_eigenvector
 from .model import (Ensemble, SparseSignal, dist, measure, norm_estimate,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CellSummary", "Ensemble", "ExperimentGrid", "GridResult", "HtpConfig",
-    "InitConfig", "InitEstimate", "InstanceFormatError", "METHODS",
+    "InitEstimate", "InstanceFormatError", "METHODS",
     "RefineResult", "SolveReport", "SolverConfigs", "SparseSignal",
     "TrialRecord", "YbarOperator",
     "aggregate", "derive_trial_seed", "diagonal_anchors", "dist", "emit_csv",

@@ -18,11 +18,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 from . import harness, instance_io
-from .initializers import InitConfig
-from .model import truncated_gaussian_moment
+from .model import _real, truncated_gaussian_moment
 from .pipeline import METHODS, SolverConfigs
 from .refine import HtpConfig
 
@@ -48,11 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     trial.add_argument("--method", **_METHOD_FLAG)
     trial.add_argument("--seed", type=int, required=True)
     trial.add_argument("--trial-index", type=int, default=0)
-    trial.add_argument("--l", type=float, default=None)
-    trial.add_argument("--u", type=float, default=None)
-    trial.add_argument("--s-prime", type=int, default=None)
-    trial.add_argument("--t-max", type=int, default=None)
-    trial.add_argument("--mu", type=float, default=None)
     trial.add_argument("--max-iters", type=int, default=None)
     trial.add_argument("--b", type=int, default=None,
                        help="restart count for tpmr")
@@ -78,15 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_configs(args):
-    # only the flags the user set reach the settings objects, whose field
-    # names are the flag dests; the rest keep the dataclass defaults
-    def given(cls):
-        return {f.name: getattr(args, f.name) for f in fields(cls)
-                if getattr(args, f.name) is not None}
-
+    # only the flags the user set reach the settings objects; the rest
+    # keep the dataclass defaults
+    htp = {} if args.max_iters is None else {"max_iters": args.max_iters}
     restarts = {} if args.b is None else {"restarts": args.b}
-    return SolverConfigs(init=InitConfig(**given(InitConfig)),
-                         htp=HtpConfig(**given(HtpConfig)), **restarts)
+    return SolverConfigs(htp=HtpConfig(**htp), **restarts)
 
 
 def _cmd_trial(args) -> int:
@@ -151,9 +141,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    band = InitConfig(l=args.l, u=args.u)  # a finite band with 0 <= l < u
-    print(f"alpha = {truncated_gaussian_moment(2, band.l, band.u):.17g}")
-    print(f"beta = {truncated_gaussian_moment(4, band.l, band.u):.17g}")
+    # a finite band; truncated_gaussian_moment checks 0 <= l < u
+    l, u = _real(args.l, "l"), _real(args.u, "u")
+    print(f"alpha = {truncated_gaussian_moment(2, l, u):.17g}")
+    print(f"beta = {truncated_gaussian_moment(4, l, u):.17g}")
     return 0
 
 

@@ -26,7 +26,6 @@ import time
 
 import numpy as np
 
-from .initializers import InitConfig
 from .model import (ConfigError, Ensemble, _integer, _real, measure,
                     sample_signal)
 from .pipeline import (METHODS, SolveReport, SolverConfigs,
@@ -91,6 +90,12 @@ class TrialRecord:
     elapsed_ms: float
 
 
+def _checked_configs(configs) -> SolverConfigs:
+    if not isinstance(configs, SolverConfigs):
+        raise ConfigError(f"configs must be SolverConfigs, got {configs!r}")
+    return configs
+
+
 @dataclass(frozen=True)
 class ExperimentGrid:
     """A (method, s, m, trial) product driving ``run_grid``.
@@ -124,11 +129,7 @@ class ExperimentGrid:
             raise ConfigError("grid needs n >= 1 and nonempty s/m lists")
         if any(not 1 <= s <= self.n for s in self.s_list):
             raise ConfigError("every s must satisfy 1 <= s <= n")
-        if not isinstance(self.configs, SolverConfigs):
-            raise ConfigError(
-                f"configs must be SolverConfigs, got {self.configs!r}")
-        for s in self.s_list:
-            self.configs.init.resolve_s_prime(s, self.n)
+        _checked_configs(self.configs)
         if any(m < 1 for m in self.m_list):
             raise ConfigError("every m must be positive")
         if max(self.s_list) > min(self.m_list):
@@ -203,8 +204,10 @@ def solve(e: Ensemble, s: int, method: str,
           configs: SolverConfigs | None = None, truth=None) -> SolveReport:
     """Run one of METHODS on an ensemble: tp_mr restarts the truncated
     power method from ``configs.restarts`` anchors, the others run one
-    initializer followed by HTP. An unknown method, or s > m, raises
-    ConfigError before any work."""
+    initializer followed by HTP. An unknown method, s > m, or configs
+    other than None or a SolverConfigs raises ConfigError before any
+    work."""
+    configs = _checked_configs(SolverConfigs() if configs is None else configs)
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
     if s > e.m:
@@ -435,10 +438,10 @@ def grid_from_dict(data: dict) -> ExperimentGrid:
     """Build an ExperimentGrid from config-JSON content.
 
     Top-level keys mirror the ExperimentGrid fields (snake_case); the
-    optional "configs" object mirrors SolverConfigs, with "init" and
-    "htp" objects of InitConfig and HtpConfig fields. s_list, m_list and
-    methods must be lists. Every value is checked by the dataclass that
-    holds it, as it is for Python callers.
+    optional "configs" object mirrors SolverConfigs: "restarts" and an
+    "htp" object of HtpConfig fields. s_list, m_list and methods must be
+    lists. Every value is checked by the dataclass that holds it, as it
+    is for Python callers.
     """
     grid = _keys(ExperimentGrid, data, "grid config")
     missing = {"n", "s_list", "m_list", "trials", "seed", "methods"} - set(grid)
@@ -448,8 +451,8 @@ def grid_from_dict(data: dict) -> ExperimentGrid:
         grid[key] = tuple(_list(grid, key))
     if "configs" in grid:
         configs = _keys(SolverConfigs, grid["configs"], "configs")
-        for key, cls in (("init", InitConfig), ("htp", HtpConfig)):
-            if key in configs:
-                configs[key] = cls(**_keys(cls, configs[key], key))
+        if "htp" in configs:
+            configs["htp"] = HtpConfig(**_keys(HtpConfig, configs["htp"],
+                                               "htp"))
         grid["configs"] = SolverConfigs(**configs)
     return ExperimentGrid(**grid)

@@ -5,9 +5,10 @@ All estimators work from the weighted covariance surrogate
     Y = (1/m) sum_i y_i^2 a_i a_i^T
 
 and its band-truncated companion Ybar, which keeps only rows with
-l*nu <= y_i <= u*nu. Neither matrix is ever materialized at full size:
-products with Ybar cost O(m n) and only |S| x |S| principal blocks are
-assembled densely.
+l*nu <= y_i <= u*nu. The initializers fix the band at L_BAND = 0.5 and
+U_BAND = 10; the kernels take (l, u) as arguments. Neither matrix is ever
+materialized at full size: products with Ybar cost O(m n) and only
+|S| x |S| principal blocks are assembled densely.
 
 Three initializers are provided:
 
@@ -17,7 +18,8 @@ Three initializers are provided:
   top-s entries of |Y e_j0|.
 * ``tp_init``: modified-spectral start, at the same anchor, followed by
   truncated power iterations w_t = T_s'(Ybar w_{t-1}) / ||.|| on one
-  vector, then a final projection back to s-sparse vectors.
+  vector at s' = min(2 s, n), for at most T_MAX steps, then a final
+  projection back to s-sparse vectors.
 
 Each returns nu times a unit s-sparse vector, so the output has norm nu.
 
@@ -32,48 +34,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import top_eigenvector
-from .model import (ConfigError, Ensemble, _integer, _real, apply_sensing,
-                    dist)
+from .model import Ensemble, apply_sensing, dist
 
+# truncation band [L_BAND*nu, U_BAND*nu] of Ybar (the worked constants)
+L_BAND, U_BAND = 0.5, 10.0
 # TP iteration budget ceil(log(200/0.125) / log(1/0.98)): a contraction by
 # 0.98 per step reaching the refinement basin of radius 0.125 from 200
-DEFAULT_T_MAX = 366
+T_MAX = 366
 STEP_TOL = 1e-8       # TP stops once dist(w_t, w_{t-1}) is at most this
-
-
-@dataclass(frozen=True)
-class InitConfig:
-    """Initializer parameters, checked when built (ConfigError).
-
-    l, u: truncation band in units of nu (worked constants 0.5 and 10),
-        finite with 0 <= l < u.
-    s_prime: enlarged sparsity inside the truncated power loop, an integer;
-        None means min(2 s, n), resolved at call time.
-    t_max: iteration budget for the truncated power loop, an integer >= 0.
-    """
-
-    l: float = 0.5
-    u: float = 10.0
-    s_prime: int | None = None
-    t_max: int = DEFAULT_T_MAX
-
-    def __post_init__(self):
-        object.__setattr__(self, "l", _real(self.l, "l"))
-        object.__setattr__(self, "u", _real(self.u, "u"))
-        if self.s_prime is not None:
-            object.__setattr__(self, "s_prime",
-                               _integer(self.s_prime, "s_prime"))
-        object.__setattr__(self, "t_max", _integer(self.t_max, "t_max"))
-        if not (0 <= self.l < self.u):
-            raise ConfigError("need 0 <= l < u")
-        if self.t_max < 0:
-            raise ConfigError("t_max must be nonnegative")
-
-    def resolve_s_prime(self, s: int, n: int) -> int:
-        sp = self.s_prime if self.s_prime is not None else min(2 * s, n)
-        if not s <= sp <= n:
-            raise ConfigError("need s <= s_prime <= n")
-        return sp
 
 
 @dataclass(frozen=True)
@@ -184,9 +152,9 @@ def restricted_ybar(e: Ensemble, support, l: float, u: float) -> np.ndarray:
     return (As * weights[:, None]).T @ As / e.m
 
 
-def _spectral_from_support(e: Ensemble, cfg: InitConfig, support: np.ndarray,
+def _spectral_from_support(e: Ensemble, support: np.ndarray,
                            j0: int | None) -> InitEstimate:
-    block = restricted_ybar(e, support, cfg.l, cfg.u)
+    block = restricted_ybar(e, support, L_BAND, U_BAND)
     eig = top_eigenvector(block)
     x0 = np.zeros(e.n)
     x0[support] = eig.vector
@@ -194,17 +162,16 @@ def _spectral_from_support(e: Ensemble, cfg: InitConfig, support: np.ndarray,
                         degenerate=eig.degenerate, iterations_run=0)
 
 
-def spectral_init(e: Ensemble, s: int,
-                  cfg: InitConfig | None = None) -> InitEstimate:
+def spectral_init(e: Ensemble, s: int) -> InitEstimate:
     """Baseline spectral initializer: support from the top-s diagonal of Y."""
     if not 1 <= s <= e.n:
         raise ValueError("need 1 <= s <= n")
-    return _spectral_from_support(e, cfg or InitConfig(),
-                                  top_magnitude_indices(y_diag(e), s), None)
+    return _spectral_from_support(e, top_magnitude_indices(y_diag(e), s),
+                                  None)
 
 
-def modified_spectral_init(e: Ensemble, s: int, cfg: InitConfig | None = None,
-                           *, anchor: int | None = None) -> InitEstimate:
+def modified_spectral_init(e: Ensemble, s: int, *,
+                           anchor: int | None = None) -> InitEstimate:
     """Anchored spectral initializer: support from the top entries of
     |Y e_j0|, with j0 = ``anchor``, by default the first diagonal anchor.
 
@@ -215,7 +182,7 @@ def modified_spectral_init(e: Ensemble, s: int, cfg: InitConfig | None = None,
         raise ValueError("need 1 <= s <= n")
     j0 = int(diagonal_anchors(y_diag(e), 1)[0] if anchor is None else anchor)
     support = top_magnitude_indices(y_column(e, j0), s)
-    return _spectral_from_support(e, cfg or InitConfig(), support, j0)
+    return _spectral_from_support(e, support, j0)
 
 
 def magnitude_misfit(e: Ensemble, xhat) -> float:
@@ -224,15 +191,16 @@ def magnitude_misfit(e: Ensemble, xhat) -> float:
     return float(np.linalg.norm(e.y - np.abs(apply_sensing(e, xhat))))
 
 
-def tp_init(e: Ensemble, s: int, cfg: InitConfig | None = None, *,
+def tp_init(e: Ensemble, s: int, *,
             anchor: int | None = None) -> InitEstimate:
     """Truncated power method initializer.
 
     Starts from the modified-spectral direction anchored at ``anchor`` (by
-    default the first diagonal anchor) and runs up to t_max steps of
-    w_t = T_s'(Ybar w_{t-1}) with renormalization, stopping early once the
-    sign-invariant step is at most STEP_TOL. The final iterate is
-    projected back to the s-sparse set and rescaled to norm nu.
+    default the first diagonal anchor) and runs up to T_MAX steps of
+    w_t = T_s'(Ybar w_{t-1}) with renormalization, at s' = min(2 s, n),
+    stopping early once the sign-invariant step is at most STEP_TOL. The
+    final iterate is projected back to the s-sparse set and rescaled to
+    norm nu.
 
     The iterated estimate is kept only if it explains the observations at
     least as well as its start (phaseless misfit ||y - |A xhat|||_2, the
@@ -243,19 +211,15 @@ def tp_init(e: Ensemble, s: int, cfg: InitConfig | None = None, *,
     returned as it is, and a zero iterate at step t returns the start
     flagged degenerate with ``iterations_run=t``.
     """
-    cfg = cfg or InitConfig()
-    if not 1 <= s <= e.n:
-        raise ValueError("need 1 <= s <= n")
-    s_prime = cfg.resolve_s_prime(s, e.n)
-    seed = modified_spectral_init(e, s, cfg, anchor=anchor)
+    seed = modified_spectral_init(e, s, anchor=anchor)
     if seed.degenerate:
         return seed
 
-    op = ybar_operator(e, cfg.l, cfg.u)
+    op = ybar_operator(e, L_BAND, U_BAND)
     w = seed.xhat / e.nu
-    t = 0  # steps taken, 0 when t_max is 0
-    for t in range(1, cfg.t_max + 1):
-        wt = truncate(ybar_matvec(op, w), s_prime)
+    t = 0  # steps taken, 0 when T_MAX is 0
+    for t in range(1, T_MAX + 1):
+        wt = truncate(ybar_matvec(op, w), min(2 * s, e.n))
         nrm = np.linalg.norm(wt)
         if nrm == 0.0:
             return replace(seed, degenerate=True, iterations_run=t)

@@ -58,8 +58,10 @@ class SparseSignal:
     values: np.ndarray
 
     def __post_init__(self):
-        support = np.asarray(self.support, dtype=np.intp)
-        values = np.asarray(self.values, dtype=float)
+        # copies: a write to the caller's arrays, or to a view of them,
+        # must not reach the checked signal
+        support = np.array(self.support, dtype=np.intp)
+        values = np.array(self.values, dtype=float)
         if self.n < 1:
             raise ValueError("dimension must be positive")
         if support.ndim != 1 or values.ndim != 1 or support.size != values.size:
@@ -109,7 +111,11 @@ class Ensemble:
 
     nu = sqrt(mean(y^2)) estimates ||x||_2 and is computed once from y at
     construction, which then marks A and y read-only: nu cannot go stale,
-    and an ensemble can be shared across threads.
+    and an ensemble can be shared across threads. An array that does not
+    own its data (a view) is copied first, since its base would stay
+    writable; one that owns its data is frozen in place, without an m x n
+    copy, so a view of it taken before construction is the caller's to
+    leave alone.
     """
 
     n: int
@@ -127,8 +133,12 @@ class Ensemble:
             raise ValueError("observations must be nonnegative")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.y))):
             raise ValueError("ensemble entries must be finite")
-        self.A.flags.writeable = False
-        self.y.flags.writeable = False
+        for name in ("A", "y"):
+            array = getattr(self, name)
+            if not array.flags.owndata:
+                array = array.copy()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "nu", norm_estimate(self.y))
 
     @classmethod

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .initializers import (InitConfig, diagonal_anchors,
-                           modified_spectral_init, spectral_init, tp_init,
-                           y_diag)
+from .initializers import (diagonal_anchors, modified_spectral_init,
+                           spectral_init, tp_init, y_diag)
 from .model import (ConfigError, Ensemble, _integer, apply_sensing,
                     relative_error, sgn)
 from .refine import HtpConfig, htp_run
@@ -33,19 +32,17 @@ METHODS = (*_INITIALIZERS, "tp_mr")
 
 @dataclass(frozen=True)
 class SolverConfigs:
-    """Initializer and HTP settings (an InitConfig and an HtpConfig) plus
-    the restart cap b of tp_mr (an integer >= 1), checked when built."""
+    """The HTP settings (an HtpConfig) and the restart cap b of tp_mr (an
+    integer >= 1), checked when built. The initializers take no settings:
+    their band, TP's s' and TP's step budget are the constants of
+    ``initializers``."""
 
-    init: InitConfig = field(default_factory=InitConfig)
     htp: HtpConfig = field(default_factory=HtpConfig)
     restarts: int = 20
 
     def __post_init__(self):
-        for name, cls in (("init", InitConfig), ("htp", HtpConfig)):
-            value = getattr(self, name)
-            if not isinstance(value, cls):
-                raise ConfigError(
-                    f"{name} must be {cls.__name__}, got {value!r}")
+        if not isinstance(self.htp, HtpConfig):
+            raise ConfigError(f"htp must be HtpConfig, got {self.htp!r}")
         object.__setattr__(self, "restarts",
                            _integer(self.restarts, "restarts"))
         if self.restarts < 1:
@@ -102,7 +99,7 @@ def solve_two_stage(e: Ensemble, s: int, method: str,
         raise ValueError(f"unknown two-stage method {method!r}")
     cfg = cfg or SolverConfigs()
     t0 = time.perf_counter()
-    est = _INITIALIZERS[method](e, s, cfg.init)
+    est = _INITIALIZERS[method](e, s)
     t1 = time.perf_counter()
     refined = htp_run(e, est.xhat, s, cfg.htp)
     return SolveReport(x=refined.x, method=method,
@@ -138,7 +135,7 @@ def solve_multi_restart(e: Ensemble, s: int,
     init_elapsed = refine_elapsed = 0.0
     for anchor in diagonal_anchors(y_diag(e), cfg.restarts):
         t0 = time.perf_counter()
-        est = tp_init(e, s, cfg.init, anchor=anchor)
+        est = tp_init(e, s, anchor=anchor)
         t1 = time.perf_counter()
         refined = htp_run(e, est.xhat, s, cfg.htp)
         init_elapsed += t1 - t0

@@ -10,7 +10,7 @@ problem exactly on that support:
     S   = supp(T_s(g))
     x_' = argmin_{supp(x) subset S} ||A x - y .* sgn(z)||_2
 
-The 1/m factor keeps the default step size mu = 0.95 meaningful for
+The step size is mu = MU = 0.95; the 1/m factor keeps it meaningful for
 unnormalized Gaussian sensing rows, where A^T A / m is close to the
 identity. sgn(0) is defined as +1 so the iteration is deterministic.
 """
@@ -23,7 +23,9 @@ import numpy as np
 
 from .initializers import magnitude_misfit, top_magnitude_indices
 from .linalg import restricted_least_squares
-from .model import ConfigError, Ensemble, _integer, _real, apply_sensing, sgn
+from .model import ConfigError, Ensemble, _integer, apply_sensing, sgn
+
+MU = 0.95  # gradient step size, 0 < MU < 2
 
 # the run converges once the selected support is unchanged for
 # SUPPORT_STALL consecutive steps and the relative residual
@@ -39,19 +41,15 @@ STOPS = ("converged", "fixed_point", "cycle", "cap")
 
 @dataclass(frozen=True)
 class HtpConfig:
-    """Step size (finite, 0 < mu < 2) and iteration cap (an integer >= 1),
-    checked when built (ConfigError); the run stops after ``max_iters``
-    steps if the stopping rule has not fired by then."""
+    """Iteration cap (an integer >= 1), checked when built (ConfigError);
+    the run stops after ``max_iters`` steps if the stopping rule has not
+    fired by then."""
 
-    mu: float = 0.95
     max_iters: int = 100
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", _real(self.mu, "mu"))
         object.__setattr__(self, "max_iters",
                            _integer(self.max_iters, "max_iters"))
-        if not 0 < self.mu < 2:
-            raise ConfigError("need 0 < mu < 2")
         if self.max_iters < 1:
             raise ConfigError("need at least one iteration")
 
@@ -78,16 +76,14 @@ class RefineResult:
         return self.stop == "converged"
 
 
-def htp_step(e: Ensemble, x_k, s: int,
-             cfg: HtpConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+def htp_step(e: Ensemble, x_k, s: int) -> tuple[np.ndarray, np.ndarray]:
     """One HTP step; returns (x_next, selected support, sorted)."""
-    cfg = cfg or HtpConfig()
     x_k = np.asarray(x_k, dtype=float)
     if np.count_nonzero(x_k) > s:
         raise ValueError("iterate must be s-sparse")
     z = apply_sensing(e, x_k)
     b = e.y * sgn(z)
-    g = x_k + (cfg.mu / e.m) * (e.A.T @ (b - z))
+    g = x_k + (MU / e.m) * (e.A.T @ (b - z))
     support = top_magnitude_indices(g, s)
     x_next, _ = restricted_least_squares(e.A, support, b)
     return x_next, support
@@ -121,7 +117,7 @@ def htp_run(e: Ensemble, x0, s: int,
 
     for _ in range(cfg.max_iters):
         x_prev2, x_prev = x_prev, x
-        x, support = htp_step(e, x, s, cfg)
+        x, support = htp_step(e, x, s)
         # ||y - |A x||| is ||A x - y .* sgn(A x)|| bit for bit: the
         # entries agree up to sign
         res = magnitude_misfit(e, x)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sparsepr as sp
-from sparsepr import refine
+from sparsepr import initializers, refine
 from sparsepr.initializers import (STEP_TOL, InitEstimate, magnitude_misfit,
                                    modified_spectral_init, truncation_weights)
 from sparsepr.model import apply_sensing, dist, sgn
@@ -43,7 +43,7 @@ def reference_htp_run(e, x0, s, cfg=None):
     streak = 0
     stop = "cap"
     for _ in range(cfg.max_iters):
-        x, support = refine.htp_step(e, x, s, cfg)
+        x, support = refine.htp_step(e, x, s)
         z = apply_sensing(e, x)
         res = float(np.linalg.norm(z - e.y * sgn(z)))
         rel = res / y_norm if y_norm > 0 else res
@@ -70,7 +70,7 @@ def reference_multi_restart(e, s, cfg=None, truth=None):
     anchors = sp.diagonal_anchors(sp.y_diag(e), cfg.restarts)
     best = None
     for b_index, a in enumerate(anchors, start=1):
-        est = sp.tp_init(e, s, cfg.init, anchor=a)
+        est = sp.tp_init(e, s, anchor=a)
         refined = sp.htp_run(e, est.xhat, s, cfg.htp)
         score = sp.gradient_residual(e, refined.x)
         if best is None or score < best[0]:
@@ -101,24 +101,24 @@ def _lexsort_top(values, k):
     return np.sort(np.lexsort((np.arange(mag.size), -mag))[:k])
 
 
-def reference_tp_init(e, s, cfg=None, *, anchor=None):
+def reference_tp_init(e, s, *, anchor=None):
     """Single-vector truncated power loop with one GEMV over all m rows
-    per step and a sorting top-k.
+    per step and a sorting top-k, at the band, s' and step budget of
+    ``initializers`` (read at call time, so a patched T_MAX applies).
 
     Returns the estimate and the projected TP candidate that the misfit
     fallback weighed against the start (None when no candidate was
     formed).
     """
-    cfg = cfg or sp.InitConfig()
-    s_prime = cfg.resolve_s_prime(s, e.n)
-    seed = modified_spectral_init(e, s, cfg, anchor=anchor)
+    s_prime = min(2 * s, e.n)
+    seed = modified_spectral_init(e, s, anchor=anchor)
     if seed.degenerate:
         return seed, None
-    weights = truncation_weights(e, cfg.l, cfg.u)
+    weights = truncation_weights(e, initializers.L_BAND, initializers.U_BAND)
 
     w = seed.xhat / e.nu
     iterations = 0
-    for t in range(1, cfg.t_max + 1):
+    for t in range(1, initializers.T_MAX + 1):
         v = e.A.T @ (weights * apply_sensing(e, w)) / e.m
         wt = np.zeros(e.n)
         top = _lexsort_top(v, s_prime)

@@ -78,9 +78,9 @@ class TestTrial:
         proc = run_cli(["trial", "--n", "10"])
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("flags", [["--u", "inf"], ["--mu", "nan"],
-                                       ["--s-prime", "1"],
-                                       # a later --seed overrides --seed 1
+    @pytest.mark.parametrize("flags", [["--max-iters", "0"], ["--b", "0"],
+                                       # a later flag overrides the first
+                                       ["--s", "0"],
                                        ["--seed", "-1"],
                                        ["--seed", str(2**64)],
                                        ["--trial-index", "-1"],
@@ -97,6 +97,25 @@ class TestTrial:
                          "--method", "tp", "--seed", "1", *flags])
         assert code == 2
         assert stderr.getvalue().startswith("error:")
+
+    @pytest.mark.parametrize("flags", [["--l", "0.5"], ["--u", "10"],
+                                       ["--s-prime", "4"], ["--t-max", "366"],
+                                       ["--mu", "0.95"]])
+    def test_retired_setting_flag_exits_2_before_sampling(self, flags,
+                                                          monkeypatch):
+        # the band, s', TP's budget and HTP's step are constants: even
+        # their old default values are refused
+        def no_sampling(*args):
+            raise AssertionError("sampled with a retired flag")
+
+        monkeypatch.setattr(harness, "sample_signal", no_sampling)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), \
+                pytest.raises(SystemExit) as exc:
+            main(["trial", "--n", "16", "--s", "2", "--m", "40",
+                  "--method", "tp", "--seed", "1", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flags[0] in stderr.getvalue()
 
     @pytest.mark.parametrize("name,alias", [("tp_mr", "tpmr"),
                                             ("modified_spectral", "modspec")])
@@ -186,7 +205,33 @@ class TestGrid:
                          "1", "--out", str(out_path)])
         assert code == 2
         assert stderr.getvalue().startswith("error:")
-        assert "s_prime" in stderr.getvalue()
+        assert "init" in stderr.getvalue()
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("configs,name", [
+        ({"init": {}}, "init"), ({"init": {"l": 0.5, "u": 10.0}}, "init"),
+        ({"htp": {"mu": 0.95}}, "mu"),
+    ], ids=["init-empty", "init-band", "htp-mu"])
+    def test_retired_setting_exits_2_before_sampling(self, tmp_path,
+                                                     monkeypatch, configs,
+                                                     name):
+        # even the retired settings' old defaults are refused by name
+        def no_sampling(*args):
+            raise AssertionError("sampled a cell of an invalid grid")
+
+        monkeypatch.setattr(harness, "sample_signal", no_sampling)
+        config = {"n": 16, "s_list": [2], "m_list": [40], "trials": 1,
+                  "seed": 1, "methods": ["tp"], "configs": configs}
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "r.csv"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["grid", "--config", str(cfg_path), "--threads",
+                         "1", "--out", str(out_path)])
+        assert code == 2
+        assert stderr.getvalue().startswith("error: unknown")
+        assert repr(name) in stderr.getvalue()
         assert not out_path.exists()
 
     def test_more_restarts_than_coordinates_writes_the_csv_of_n(

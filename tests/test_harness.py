@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -72,19 +73,16 @@ class TestRunTrial:
         with pytest.raises(ConfigError):
             sp.run_trial(10, 2, 20, "nope", 0, 1)
 
-    @pytest.mark.parametrize("s,m,s_prime", [
-        (11, 20, None), (0, 20, None), (2, 0, None), (2, 20, 1),
-        (5, 4, None),
-    ], ids=["11-20", "0-20", "2-0", "s_prime-below-s", "5-4"])
-    def test_out_of_range_cell_rejected_before_sampling(self, s, m, s_prime,
+    @pytest.mark.parametrize("s,m", [(11, 20), (0, 20), (2, 0), (5, 4)],
+                             ids=["11-20", "0-20", "2-0", "5-4"])
+    def test_out_of_range_cell_rejected_before_sampling(self, s, m,
                                                         monkeypatch):
         def no_sampling(*args):
             raise AssertionError("sampled an invalid cell")
 
         monkeypatch.setattr(harness, "sample_signal", no_sampling)
-        configs = sp.SolverConfigs(init=sp.InitConfig(s_prime=s_prime))
         with pytest.raises(ConfigError):
-            sp.run_trial(10, s, m, "tp", 0, 1, configs)
+            sp.run_trial(10, s, m, "tp", 0, 1)
 
     def test_more_restarts_than_coordinates_capped_at_n(self):
         # no restart converges on this undersampled cell, so restarts=n
@@ -145,14 +143,12 @@ class TestSettingsCheckThemselves:
     Python, grid JSON and the CLI refuse the same values."""
 
     @pytest.mark.parametrize("build,field", [
-        (lambda: sp.InitConfig(t_max=1.5), "t_max"),
-        (lambda: sp.InitConfig(s_prime=6.5), "s_prime"),
-        (lambda: sp.InitConfig(l=False), "l"),
-        (lambda: sp.InitConfig(u=math.inf), "u"),
-        (lambda: sp.InitConfig(t_max=None), "t_max"),
+        # sparsepr moments checks its band itself
+        (lambda: cli._cmd_moments(argparse.Namespace(l=False, u=10.0)), "l"),
+        (lambda: cli._cmd_moments(argparse.Namespace(l=0.0, u=math.inf)),
+         "u"),
         (lambda: sp.HtpConfig(max_iters=True), "max_iters"),
         (lambda: sp.HtpConfig(max_iters=2.5), "max_iters"),
-        (lambda: sp.HtpConfig(mu="0.5"), "mu"),
         (lambda: sp.SolverConfigs(restarts=2.5), "restarts"),
         (lambda: sp.ExperimentGrid(n=10, s_list=(2.7,), m_list=(20,),
                                    trials=1, seed=0, methods=("tp",)),
@@ -164,9 +160,8 @@ class TestSettingsCheckThemselves:
                                    trials=1, seed=0, methods=("tp",),
                                    success_threshold=math.inf),
          "success_threshold"),
-    ], ids=["t_max-1.5", "s_prime-6.5", "l-False", "u-inf", "t_max-None",
-            "max_iters-True", "max_iters-2.5", "mu-str", "restarts-2.5",
-            "s_list-2.7", "trials-1.5", "threshold-inf"])
+    ], ids=["l-False", "u-inf", "max_iters-True", "max_iters-2.5",
+            "restarts-2.5", "s_list-2.7", "trials-1.5", "threshold-inf"])
     def test_mistyped_field_refused_by_name(self, build, field):
         with pytest.raises(ConfigError, match=field):
             build()
@@ -189,8 +184,8 @@ class TestSettingsCheckThemselves:
             sp.ExperimentGrid(n=32, trials=3, seed=1, **cell)
 
     @pytest.mark.parametrize("configs", [
-        None, {"restarts": 5}, sp.InitConfig(),
-    ], ids=["None", "dict", "InitConfig"])
+        None, {"restarts": 5}, sp.HtpConfig(),
+    ], ids=["None", "dict", "HtpConfig"])
     def test_grid_configs_not_solver_configs_refused(self, configs):
         with pytest.raises(ConfigError, match="configs"):
             sp.ExperimentGrid(n=10, s_list=(2,), m_list=(20,), trials=1,
@@ -198,7 +193,21 @@ class TestSettingsCheckThemselves:
 
     def test_run_trial_configs_not_solver_configs_refused(self):
         with pytest.raises(ConfigError, match="configs"):
-            sp.run_trial(10, 2, 20, "tp", 0, 0, configs=sp.InitConfig())
+            sp.run_trial(10, 2, 20, "tp", 0, 0, configs=sp.HtpConfig())
+
+    @pytest.mark.parametrize("method", ["tp", "tp_mr", "spectral"])
+    @pytest.mark.parametrize("configs", [sp.HtpConfig(), {"restarts": 3}],
+                             ids=["HtpConfig", "dict"])
+    def test_solve_configs_not_solver_configs_refused_before_work(
+            self, configs, method, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("solved with refused configs")
+
+        for name in ("solve_two_stage", "solve_multi_restart"):
+            monkeypatch.setattr(harness, name, no_work)
+        e = sp.Ensemble.from_measurements(np.ones((4, 6)), np.ones(4))
+        with pytest.raises(ConfigError, match="configs"):
+            sp.solve(e, 2, method, configs)
 
     def test_integral_floats_become_ints(self):
         assert type(sp.HtpConfig(max_iters=50.0).max_iters) is int
@@ -522,13 +531,10 @@ class TestGridFromDict:
         grid = grid_from_dict({
             "n": 64, "s_list": [4], "m_list": [100], "trials": 1,
             "seed": 1, "methods": ["tp_mr"],
-            "configs": {"init": {"t_max": 5, "s_prime": None},
-                        "htp": {"mu": 0.5}, "restarts": 7},
+            "configs": {"htp": {"max_iters": 5}, "restarts": 7},
         })
-        assert grid.configs.init.t_max == 5
-        assert grid.configs.init.s_prime is None
-        assert grid.configs.htp.mu == 0.5
-        assert grid.configs.restarts == 7
+        assert grid.configs == sp.SolverConfigs(
+            htp=sp.HtpConfig(max_iters=5), restarts=7)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):

@@ -356,11 +356,12 @@ class TestSpectralInit:
 
 
 class TestTpInit:
-    def test_t_max_zero_equals_modified_spectral(self, small_instance):
+    def test_t_max_zero_equals_modified_spectral(self, small_instance,
+                                                 monkeypatch):
         x, e = small_instance
-        cfg = sp.InitConfig(t_max=0)
-        tp = sp.tp_init(e, x.s, cfg)
-        ms = sp.modified_spectral_init(e, x.s, cfg)
+        monkeypatch.setattr(initializers, "T_MAX", 0)
+        tp = sp.tp_init(e, x.s)
+        ms = sp.modified_spectral_init(e, x.s)
         np.testing.assert_allclose(tp.xhat, ms.xhat, atol=1e-12 * e.nu)
         assert tp.j0 == ms.j0
 
@@ -383,7 +384,8 @@ class TestTpInit:
 
         monkeypatch.setattr(initializers, "restricted_ybar", builder)
         monkeypatch.setattr(initializers, "ybar_matvec", exact_mv)
-        est = sp.tp_init(e, x.s, sp.InitConfig(t_max=25))
+        monkeypatch.setattr(initializers, "T_MAX", 25)
+        est = sp.tp_init(e, x.s)
         assert sp.dist(est.xhat / e.nu, x0) <= 1e-10
 
     def test_fallback_returns_the_start(self, small_instance, monkeypatch):
@@ -446,14 +448,24 @@ class TestTpInit:
         np.testing.assert_array_equal(est.support, [0, 1])
         np.testing.assert_allclose(est.xhat, np.zeros(5))
 
-    def test_s_prime_validation(self):
+    def test_s_prime_validation(self, monkeypatch):
+        # the power loop truncates to s' = min(2 s, n), which lies in
+        # [s, n] for every valid s, and the final projection to s
         rng = sp.trial_rng(61)
         x = sp.sample_signal(20, 3, rng)
         e = sp.measure(x, 50, rng)
-        with pytest.raises(ValueError):
-            sp.tp_init(e, 3, sp.InitConfig(s_prime=2))
-        with pytest.raises(ValueError):
-            sp.tp_init(e, 3, sp.InitConfig(s_prime=21))
+        real = initializers.truncate
+        for s, s_prime in [(3, 6), (10, 20), (13, 20), (20, 20)]:
+            levels = []
+
+            def spy(w, k):
+                levels.append(k)
+                return real(w, k)
+
+            monkeypatch.setattr(initializers, "truncate", spy)
+            est = sp.tp_init(e, s)
+            assert est.iterations_run >= 1
+            assert levels == [s_prime] * est.iterations_run + [s]
         with pytest.raises(ValueError, match="1 <= s <= n"):
             sp.tp_init(e, 21)
 
@@ -468,26 +480,27 @@ class TestTpInit:
         np.testing.assert_allclose(a.xhat, b.xhat, rtol=1e-9, atol=1e-11)
 
 
-# (n, s, m) from undersampled to oversampled; t_max and s_prime vary by case
+# (n, s, m) from undersampled to oversampled; T_MAX varies by case
 TP_CELLS = [(n, s, m) for n in (30, 64, 120, 200) for s in (2, 5, 9)
             for m in (int(1.2 * s * np.log(n)), 4 * s * int(np.log(n)),
                       12 * s * int(np.log(n)))]
 
 
 class TestTpRestarts:
-    def test_matches_single_vector_reference(self, tp_reference):
-        t_maxes = [0, 1, 5, sp.InitConfig().t_max]
+    def test_matches_single_vector_reference(self, tp_reference,
+                                             monkeypatch):
+        t_maxes = [0, 1, 5, initializers.T_MAX]
         fell_back = {True: 0, False: 0}
         for k, (n, s, m) in enumerate(TP_CELLS):
-            cfg = sp.InitConfig(t_max=t_maxes[k % 4],
-                                s_prime=n if k % 5 == 0 else None)
+            # the reference reads the patched budget too
+            monkeypatch.setattr(initializers, "T_MAX", t_maxes[k % 4])
             rng = sp.trial_rng(sp.derive_trial_seed(91, n, s, m, 0))
             x = sp.sample_signal(n, s, rng)
             e = sp.measure(x, m, rng)
             for a in sp.diagonal_anchors(sp.y_diag(e), 4):
-                got = sp.tp_init(e, s, cfg, anchor=a)
-                want, candidate = tp_reference(e, s, cfg, anchor=a)
-                seed = sp.modified_spectral_init(e, s, cfg, anchor=a)
+                got = sp.tp_init(e, s, anchor=a)
+                want, candidate = tp_reference(e, s, anchor=a)
+                seed = sp.modified_spectral_init(e, s, anchor=a)
                 np.testing.assert_array_equal(got.support, want.support)
                 assert got.j0 == want.j0 == a
                 assert got.iterations_run == want.iterations_run
@@ -542,7 +555,8 @@ class TestTpRestarts:
 
         a = sp.diagonal_anchors(sp.y_diag(e), 2)[1]
         monkeypatch.setattr(initializers, "ybar_matvec", vanishing)
-        got = sp.tp_init(e, x.s, sp.InitConfig(t_max=5), anchor=a)
+        monkeypatch.setattr(initializers, "T_MAX", 5)
+        got = sp.tp_init(e, x.s, anchor=a)
         seed = sp.modified_spectral_init(e, x.s, anchor=a)
         assert got.degenerate and got.iterations_run == 2
         assert got.xhat.tobytes() == seed.xhat.tobytes()
@@ -569,7 +583,7 @@ class TestTpRestarts:
             best = None
             anchors = sp.diagonal_anchors(sp.y_diag(e), 6)
             for b, a in enumerate(anchors, start=1):
-                est = sp.tp_init(e, s, cfg.init, anchor=a)
+                est = sp.tp_init(e, s, anchor=a)
                 refined = sp.htp_run(e, est.xhat, s, cfg.htp)
                 score = sp.gradient_residual(e, refined.x)
                 if best is None or score < best[0]:

@@ -36,6 +36,15 @@ class TestSparseSignal:
             sp.SparseSignal(n=5, support=np.array([], dtype=int),
                             values=np.array([]))
 
+    def test_write_through_a_view_leaves_the_signal_whole(self):
+        # a write to the caller's buffer would break the nonzero invariant
+        buf = np.array([3.0, 4.0, 9.0])
+        idx = np.array([0, 3, 4])
+        x = sp.SparseSignal(n=5, support=idx[:2], values=buf[:2])
+        buf[0], idx[0] = 0.0, 1
+        np.testing.assert_array_equal(x.values, [3.0, 4.0])
+        np.testing.assert_array_equal(x.support, [0, 3])
+
 
 class TestSampleSignal:
     def test_full_support_forced(self):
@@ -111,6 +120,16 @@ class TestMeasure:
         with pytest.raises(ValueError):
             a[0, 0] = 2.0
         assert e.nu == sp.norm_estimate([3.0, 4.0])
+
+    def test_write_through_a_view_leaves_nu_current(self):
+        # the base of a view stays writable, so views are copied
+        buf = np.array([3.0, 4.0, 9.0])
+        block = np.ones((3, 3))
+        e = sp.Ensemble(n=3, m=2, A=block[:2], y=buf[:2])
+        buf[0], block[0, 0] = 0.0, 5.0
+        np.testing.assert_array_equal(e.y, [3.0, 4.0])
+        assert e.nu == sp.norm_estimate(e.y)
+        assert e.A[0, 0] == 1.0
 
     def test_from_measurements_leaves_callers_arrays_writable(self):
         a, y = np.ones((2, 3)), np.array([3.0, 4.0])

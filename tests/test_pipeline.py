@@ -193,9 +193,9 @@ class TestEarlyStop:
         x, e = _instance(*cell)
         tp_anchors, htp_runs = [], []
 
-        def counting_tp(e, s, cfg=None, *, anchor=None):
+        def counting_tp(e, s, *, anchor=None):
             tp_anchors.append(anchor)
-            return sp.tp_init(e, s, cfg, anchor=anchor)
+            return sp.tp_init(e, s, anchor=anchor)
 
         def counting_htp(e, x0, s, cfg=None):
             result = sp.htp_run(e, x0, s, cfg)
@@ -216,9 +216,9 @@ class TestEarlyStop:
         x, e = _instance(200, 20, 100, 0)
         tp_anchors = []
 
-        def counting_tp(e, s, cfg=None, *, anchor=None):
+        def counting_tp(e, s, *, anchor=None):
             tp_anchors.append(anchor)
-            return sp.tp_init(e, s, cfg, anchor=anchor)
+            return sp.tp_init(e, s, anchor=anchor)
 
         monkeypatch.setattr(pipeline, "tp_init", counting_tp)
         rep = sp.solve_multi_restart(e, 20, sp.SolverConfigs(restarts=1))
@@ -243,13 +243,20 @@ class TestSolverConfigs:
             sp.SolverConfigs(restarts=0)
 
     @pytest.mark.parametrize("field, value", [
-        ("init", {"l": 1.0}), ("init", None), ("init", sp.HtpConfig()),
-        ("htp", {"mu": 0.5}), ("htp", sp.InitConfig())])
+        ("htp", {"max_iters": 5}), ("htp", None), ("htp", sp.HtpConfig),
+        ("htp", {"mu": 0.5}), ("htp", sp.SolverConfigs())])
     def test_wrong_config_type_rejected(self, field, value):
         with pytest.raises(pipeline.ConfigError, match=field):
             sp.SolverConfigs(**{field: value})
 
     def test_config_objects_accepted(self):
-        cfg = sp.SolverConfigs(init=sp.InitConfig(l=1.0),
-                               htp=sp.HtpConfig(mu=0.5))
-        assert cfg.init.l == 1.0 and cfg.htp.mu == 0.5
+        cfg = sp.SolverConfigs(htp=sp.HtpConfig(max_iters=7))
+        assert cfg.htp.max_iters == 7
+
+    def test_only_htp_cap_and_restarts_are_settable(self):
+        # the band, s', TP's budget and HTP's step are module constants
+        assert [f.name for f in dataclasses.fields(sp.SolverConfigs)] == [
+            "htp", "restarts"]
+        assert [f.name for f in dataclasses.fields(sp.HtpConfig)] == [
+            "max_iters"]
+        assert not hasattr(sp, "InitConfig")

@@ -25,8 +25,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from sparsepr import (HtpConfig, InitConfig, cli,  # noqa: E402
-                      diagonal_anchors, harness, truncate)
+from sparsepr import (HtpConfig, cli, diagonal_anchors,  # noqa: E402
+                      harness, truncate)
 from sparsepr.harness import ConfigError, grid_from_dict  # noqa: E402
 from sparsepr.initializers import top_magnitude_indices  # noqa: E402
 from sparsepr.instance_io import (InstanceFormatError,  # noqa: E402
@@ -44,15 +44,13 @@ edge_values = st.sampled_from([None, True, 0, -1, 1.5, 50.0, 2**64, 10**400,
 
 VALID_GRID = {"n": 16, "s_list": [2], "m_list": [40], "trials": 1, "seed": 1,
               "methods": ["tp"], "success_threshold": 1e-3,
-              "configs": {"init": {}, "htp": {}, "restarts": 2}}
-# (path to a dict inside VALID_GRID, key in it)
+              "configs": {"htp": {}, "restarts": 2}}
+# (path to a dict inside VALID_GRID, key in it); "init" is a retired section
 TARGETS = ([((), key) for key in [*VALID_GRID, "bogus"]]
            + [(("configs",), key) for key in ("init", "htp", "restarts",
                                                 "bogus")]
-           + [(("configs", section), f.name)
-              for section, cls in (("init", InitConfig), ("htp", HtpConfig))
-              for f in fields(cls)]
-           + [(("configs", "init"), "bogus")])
+           + [(("configs", "htp"), key)
+              for key in [f.name for f in fields(HtpConfig)] + ["bogus"]])
 
 
 @st.composite

@@ -160,7 +160,7 @@ class TestFixedPointExit:
         e = sp.measure(x, 60, rng)
         x0 = perturbed_start(x, 0.5, rng)
         monkeypatch.setattr(refine, "htp_step",
-                            lambda e, x, s, cfg=None: (x, np.flatnonzero(x)))
+                            lambda e, x, s: (x, np.flatnonzero(x)))
         res = sp.htp_run(e, x0, 3)
         assert res.stop == "fixed_point"
         assert res.iterations == 1
@@ -177,7 +177,7 @@ class TestFixedPointExit:
         x = sp.sample_signal(30, 3, rng)
         e = sp.measure(x, 60, rng)
         monkeypatch.setattr(refine, "htp_step",
-                            lambda e, x, s, cfg=None: (x, np.flatnonzero(x)))
+                            lambda e, x, s: (x, np.flatnonzero(x)))
         cfg = sp.HtpConfig(max_iters=max_iters)
         res = sp.htp_run(e, x.to_dense(), 3, cfg)
         ref = htp_reference(e, x.to_dense(), 3, cfg)
@@ -190,7 +190,7 @@ class TestFixedPointExit:
         x = sp.sample_signal(30, 3, rng)
         e = sp.measure(x, 60, rng)
 
-        def drifting(e, x_k, s, cfg=None):
+        def drifting(e, x_k, s):
             x_next = np.array(x_k, dtype=float)
             x_next[0] += 1.0
             return x_next, np.array([0])
@@ -204,10 +204,8 @@ class TestFixedPointExit:
 
 class TestHtpConfig:
     def test_step_size_bounds(self):
-        with pytest.raises(ValueError):
-            sp.HtpConfig(mu=0.0)
-        with pytest.raises(ValueError):
-            sp.HtpConfig(mu=2.0)
+        # the step size is a constant now; it must stay inside (0, 2)
+        assert 0 < refine.MU < 2
 
     def test_iteration_floor(self):
         with pytest.raises(ValueError):
@@ -256,7 +254,7 @@ class TestCycleExit:
         b = x.to_dense()
         b[x.support[1]] *= 3.0
 
-        def swap(e, x_k, s, cfg=None):
+        def swap(e, x_k, s):
             x_next = b if np.array_equal(x_k, a) else a
             return x_next.copy(), x.support
 
@@ -282,7 +280,7 @@ class TestCycleExit:
         off = np.zeros(30)
         off[np.setdiff1d(np.arange(30), x.support)[:3]] = 1.0
 
-        def swap(e, x_k, s, cfg=None):
+        def swap(e, x_k, s):
             x_next = off if np.array_equal(x_k, truth) else truth
             return x_next.copy(), np.flatnonzero(x_next)
 
