@@ -110,12 +110,12 @@ class Ensemble:
     """Sensing matrix A (m x n), magnitude observations y, derived nu.
 
     nu = sqrt(mean(y^2)) estimates ||x||_2 and is computed once from y at
-    construction, which then marks A and y read-only: nu cannot go stale,
-    and an ensemble can be shared across threads. An array that does not
-    own its data (a view) is copied first, since its base would stay
-    writable; one that owns its data is frozen in place, without an m x n
-    copy, so a view of it taken before construction is the caller's to
-    leave alone.
+    construction, which then marks A and y read-only, so an ensemble can
+    be shared across threads. y is always copied (m values), so nu cannot
+    go stale. A is copied only when it does not own its data (a view,
+    whose base would stay writable); one that owns its data is frozen in
+    place, without an m x n copy, so a view of it taken before
+    construction is the caller's to leave alone.
     """
 
     n: int
@@ -133,19 +133,18 @@ class Ensemble:
             raise ValueError("observations must be nonnegative")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.y))):
             raise ValueError("ensemble entries must be finite")
-        for name in ("A", "y"):
-            array = getattr(self, name)
-            if not array.flags.owndata:
-                array = array.copy()
+        A = self.A if self.A.flags.owndata else self.A.copy()
+        y = np.array(self.y, dtype=float)
+        for name, array in (("A", A), ("y", y)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "nu", norm_estimate(self.y))
+        object.__setattr__(self, "nu", norm_estimate(y))
 
     @classmethod
     def from_measurements(cls, A, y) -> "Ensemble":
         """An ensemble of copies, so the caller's A and y stay writable."""
         A = np.array(A, dtype=float)
-        y = np.array(y, dtype=float)
+        y = np.asarray(y, dtype=float)  # __post_init__ copies y
         return cls(n=A.shape[1], m=A.shape[0], A=A, y=y)
 
 

@@ -484,6 +484,10 @@ class TestTpInit:
 TP_CELLS = [(n, s, m) for n in (30, 64, 120, 200) for s in (2, 5, 9)
             for m in (int(1.2 * s * np.log(n)), 4 * s * int(np.log(n)),
                       12 * s * int(np.log(n)))]
+# cells with 2 s >= n, where TP truncates to s' = n, that is, not at all
+FULL_LEVEL_CELLS = [(n, s, m) for n, s in ((16, 9), (30, 15))
+                    for m in (int(1.2 * s * np.log(n)), 4 * s * int(np.log(n)),
+                              12 * s * int(np.log(n)))]
 
 
 class TestTpRestarts:
@@ -491,7 +495,7 @@ class TestTpRestarts:
                                              monkeypatch):
         t_maxes = [0, 1, 5, initializers.T_MAX]
         fell_back = {True: 0, False: 0}
-        for k, (n, s, m) in enumerate(TP_CELLS):
+        for k, (n, s, m) in enumerate(TP_CELLS + FULL_LEVEL_CELLS):
             # the reference reads the patched budget too
             monkeypatch.setattr(initializers, "T_MAX", t_maxes[k % 4])
             rng = sp.trial_rng(sp.derive_trial_seed(91, n, s, m, 0))

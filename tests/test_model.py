@@ -112,14 +112,25 @@ class TestMeasure:
             e.A[0, 0] = 1.0
 
     def test_directly_built_ensemble_arrays_read_only(self):
-        # a write to y after construction would leave the cached nu stale
+        # y is copied, so a write to the caller's y cannot leave nu stale;
+        # an A that owns its data is frozen in place rather than copied
         a, y = np.ones((2, 3)), np.array([3.0, 4.0])
         e = sp.Ensemble(n=3, m=2, A=a, y=y)
         with pytest.raises(ValueError):
-            y[0] = 0.0
+            e.y[0] = 0.0
         with pytest.raises(ValueError):
             a[0, 0] = 2.0
+        y[0] = 0.0
+        np.testing.assert_array_equal(e.y, [3.0, 4.0])
         assert e.nu == sp.norm_estimate([3.0, 4.0])
+
+    def test_view_of_y_made_before_construction_leaves_nu_current(self):
+        y = np.array([3.0, 4.0])
+        v = y[:]
+        e = sp.Ensemble(n=3, m=2, A=np.ones((2, 3)), y=y)
+        v[0] = 0.0
+        np.testing.assert_array_equal(e.y, [3.0, 4.0])
+        assert e.nu == sp.norm_estimate(e.y)
 
     def test_write_through_a_view_leaves_nu_current(self):
         # the base of a view stays writable, so views are copied
