@@ -23,7 +23,6 @@ from dataclasses import asdict
 from . import harness, instance_io
 from .model import _real, truncated_gaussian_moment
 from .pipeline import METHODS, SolverConfigs
-from .refine import HtpConfig
 
 THREADS_ENV = "SPARSEPR_THREADS"
 
@@ -47,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     trial.add_argument("--method", **_METHOD_FLAG)
     trial.add_argument("--seed", type=int, required=True)
     trial.add_argument("--trial-index", type=int, default=0)
-    trial.add_argument("--max-iters", type=int, default=None)
     trial.add_argument("--b", type=int, default=None,
                        help="restart count for tpmr")
 
@@ -71,18 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solver_configs(args):
-    # only the flags the user set reach the settings objects; the rest
-    # keep the dataclass defaults
-    htp = {} if args.max_iters is None else {"max_iters": args.max_iters}
-    restarts = {} if args.b is None else {"restarts": args.b}
-    return SolverConfigs(htp=HtpConfig(**htp), **restarts)
-
-
 def _cmd_trial(args) -> int:
+    configs = None if args.b is None else SolverConfigs(restarts=args.b)
     record = harness.run_trial(args.n, args.s, args.m, args.method,
-                               args.trial_index, args.seed,
-                               configs=_solver_configs(args))
+                               args.trial_index, args.seed, configs=configs)
     print(json.dumps(asdict(record)))
     return 0
 

@@ -26,11 +26,10 @@ import time
 
 import numpy as np
 
-from .model import (ConfigError, Ensemble, _integer, _real, measure,
-                    sample_signal)
+from .model import (ConfigError, Ensemble, _instance, _integer, _real,
+                    measure, sample_signal)
 from .pipeline import (METHODS, SolveReport, SolverConfigs,
                        solve_multi_restart, solve_two_stage)
-from .refine import HtpConfig
 
 _MASK64 = (1 << 64) - 1
 
@@ -90,12 +89,6 @@ class TrialRecord:
     elapsed_ms: float
 
 
-def _checked_configs(configs) -> SolverConfigs:
-    if not isinstance(configs, SolverConfigs):
-        raise ConfigError(f"configs must be SolverConfigs, got {configs!r}")
-    return configs
-
-
 @dataclass(frozen=True)
 class ExperimentGrid:
     """A (method, s, m, trial) product driving ``run_grid``.
@@ -129,7 +122,9 @@ class ExperimentGrid:
             raise ConfigError("grid needs n >= 1 and nonempty s/m lists")
         if any(not 1 <= s <= self.n for s in self.s_list):
             raise ConfigError("every s must satisfy 1 <= s <= n")
-        _checked_configs(self.configs)
+        if self.configs is None:  # a grid holds settings, never None
+            raise ConfigError("configs must be SolverConfigs, got None")
+        _instance(self.configs, SolverConfigs, "configs")
         if any(m < 1 for m in self.m_list):
             raise ConfigError("every m must be positive")
         if max(self.s_list) > min(self.m_list):
@@ -204,18 +199,22 @@ def solve(e: Ensemble, s: int, method: str,
           configs: SolverConfigs | None = None, truth=None) -> SolveReport:
     """Run one of METHODS on an ensemble: tp_mr restarts the truncated
     power method from ``configs.restarts`` anchors, the others run one
-    initializer followed by HTP. An unknown method, s > m, or configs
-    other than None or a SolverConfigs raises ConfigError before any
-    work."""
-    configs = _checked_configs(SolverConfigs() if configs is None else configs)
+    initializer followed by HTP and take no settings. configs None means
+    ``SolverConfigs()``. ConfigError, before any work, unless configs is
+    None or a SolverConfigs, the method is known, and s is an integer
+    (integral floats become ints) with 1 <= s <= min(n, m)."""
+    configs = _instance(configs, SolverConfigs, "configs")
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
+    s = _integer(s, "s")
+    if not 1 <= s <= e.n:
+        raise ConfigError(f"need 1 <= s <= n = {e.n}, got s = {s}")
     if s > e.m:
         # HTP's least squares on s columns needs at least s equations
         raise ConfigError(f"s must be at most m: s = {s} > m = {e.m}")
     if method == "tp_mr":
         return solve_multi_restart(e, s, configs, truth=truth)
-    return solve_two_stage(e, s, method, configs, truth=truth)
+    return solve_two_stage(e, s, method, truth=truth)
 
 
 def run_trial(n: int, s: int, m: int, method: str, trial_index: int,
@@ -228,13 +227,15 @@ def run_trial(n: int, s: int, m: int, method: str, trial_index: int,
     (pass record_timing=False for byte-identical reruns), equal to the
     matching ``run_grid`` record: both run BLAS on one thread. Degenerate
     solves are recorded (rel_error = 1 for a zero estimate), never raised.
-    Arguments a grid would refuse, or a trial_index outside [0, 2^64),
-    raise ConfigError before any sampling.
+    configs None means ``SolverConfigs()``. Arguments a grid would
+    refuse, configs of any other type, or a trial_index outside
+    [0, 2^64), raise ConfigError before any sampling.
     """
     grid = ExperimentGrid(n=n, s_list=(s,), m_list=(m,), trials=1,
                           seed=grid_seed, methods=(method,),
                           success_threshold=success_threshold,
-                          configs=configs or SolverConfigs())
+                          configs=_instance(configs, SolverConfigs,
+                                            "configs"))
     return _cell_task((grid, record_timing, grid.s_list[0], grid.m_list[0],
                        _word64(trial_index, "trial_index")))[0]
 
@@ -438,10 +439,9 @@ def grid_from_dict(data: dict) -> ExperimentGrid:
     """Build an ExperimentGrid from config-JSON content.
 
     Top-level keys mirror the ExperimentGrid fields (snake_case); the
-    optional "configs" object mirrors SolverConfigs: "restarts" and an
-    "htp" object of HtpConfig fields. s_list, m_list and methods must be
-    lists. Every value is checked by the dataclass that holds it, as it
-    is for Python callers.
+    optional "configs" object mirrors SolverConfigs, so "restarts" is its
+    one key. s_list, m_list and methods must be lists. Every value is
+    checked by the dataclass that holds it, as it is for Python callers.
     """
     grid = _keys(ExperimentGrid, data, "grid config")
     missing = {"n", "s_list", "m_list", "trials", "seed", "methods"} - set(grid)
@@ -450,9 +450,6 @@ def grid_from_dict(data: dict) -> ExperimentGrid:
     for key in ("s_list", "m_list", "methods"):
         grid[key] = tuple(_list(grid, key))
     if "configs" in grid:
-        configs = _keys(SolverConfigs, grid["configs"], "configs")
-        if "htp" in configs:
-            configs["htp"] = HtpConfig(**_keys(HtpConfig, configs["htp"],
-                                               "htp"))
-        grid["configs"] = SolverConfigs(**configs)
+        grid["configs"] = SolverConfigs(**_keys(SolverConfigs,
+                                                grid["configs"], "configs"))
     return ExperimentGrid(**grid)

@@ -5,10 +5,9 @@ All estimators work from the weighted covariance surrogate
     Y = (1/m) sum_i y_i^2 a_i a_i^T
 
 and its band-truncated companion Ybar, which keeps only rows with
-l*nu <= y_i <= u*nu. The initializers fix the band at L_BAND = 0.5 and
-U_BAND = 10; the kernels take (l, u) as arguments. Neither matrix is ever
-materialized at full size: products with Ybar cost O(m n) and only
-|S| x |S| principal blocks are assembled densely.
+L_BAND*nu <= y_i <= U_BAND*nu, the fixed band [0.5 nu, 10 nu]. Neither
+matrix is ever materialized at full size: products with Ybar cost O(m n)
+and only |S| x |S| principal blocks are assembled densely.
 
 Three initializers are provided:
 
@@ -105,27 +104,27 @@ def diagonal_anchors(diag, b: int) -> np.ndarray:
     return _ranked(diag, b)
 
 
-def _in_band(e: Ensemble, l: float, u: float) -> np.ndarray:
-    return (e.y >= l * e.nu) & (e.y <= u * e.nu)
+def _in_band(e: Ensemble) -> np.ndarray:
+    return (e.y >= L_BAND * e.nu) & (e.y <= U_BAND * e.nu)
 
 
-def truncation_weights(e: Ensemble, l: float, u: float) -> np.ndarray:
-    """Row weights y_i^2 gated to the band [l*nu, u*nu]."""
-    return np.where(_in_band(e, l, u), e.y * e.y, 0.0)
+def truncation_weights(e: Ensemble) -> np.ndarray:
+    """Row weights y_i^2 gated to the band [L_BAND*nu, U_BAND*nu]."""
+    return np.where(_in_band(e), e.y * e.y, 0.0)
 
 
 @dataclass(frozen=True)
 class YbarOperator:
     """Ybar prepared for repeated products: a contiguous copy of the rows
-    of A inside the band [l*nu, u*nu] and their weights y_i^2 / m."""
+    of A inside the band and their weights y_i^2 / m."""
 
     rows: np.ndarray
     weights: np.ndarray
 
 
-def ybar_operator(e: Ensemble, l: float, u: float) -> YbarOperator:
-    """Prepare Ybar = (1/m) sum_i y_i^2 1{l nu <= y_i <= u nu} a_i a_i^T."""
-    keep = _in_band(e, l, u)
+def ybar_operator(e: Ensemble) -> YbarOperator:
+    """Prepare Ybar = (1/m) sum of y_i^2 a_i a_i^T over the in-band rows."""
+    keep = _in_band(e)
     return YbarOperator(rows=e.A[keep], weights=e.y[keep] ** 2 / e.m)
 
 
@@ -138,7 +137,7 @@ def ybar_matvec(op: YbarOperator, w) -> np.ndarray:
     return op.rows.T @ (op.weights * (op.rows @ w))
 
 
-def restricted_ybar(e: Ensemble, support, l: float, u: float) -> np.ndarray:
+def restricted_ybar(e: Ensemble, support) -> np.ndarray:
     """The |S| x |S| principal block of Ybar, assembled in O(m |S|^2).
 
     Symmetric only up to roundoff; ``top_eigenvector`` averages it with
@@ -147,14 +146,14 @@ def restricted_ybar(e: Ensemble, support, l: float, u: float) -> np.ndarray:
     support = np.asarray(support, dtype=np.intp)
     if support.size < 1:
         raise ValueError("support must be nonempty")
-    weights = truncation_weights(e, l, u)
+    weights = truncation_weights(e)
     As = e.A[:, support]
     return (As * weights[:, None]).T @ As / e.m
 
 
 def _spectral_from_support(e: Ensemble, support: np.ndarray,
                            j0: int | None) -> InitEstimate:
-    block = restricted_ybar(e, support, L_BAND, U_BAND)
+    block = restricted_ybar(e, support)
     eig = top_eigenvector(block)
     x0 = np.zeros(e.n)
     x0[support] = eig.vector
@@ -215,7 +214,7 @@ def tp_init(e: Ensemble, s: int, *,
     if seed.degenerate:
         return seed
 
-    op = ybar_operator(e, L_BAND, U_BAND)
+    op = ybar_operator(e)
     w = seed.xhat / e.nu
     t = 0  # steps taken, 0 when T_MAX is 0
     for t in range(1, T_MAX + 1):

@@ -33,6 +33,16 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _instance(value, cls, name: str):
+    # None means the defaults, cls(); any other value must be a cls, so a
+    # falsy or mistyped settings object is refused rather than replaced
+    if value is None:
+        return cls()
+    if not isinstance(value, cls):
+        raise ConfigError(f"{name} must be {cls.__name__}, got {value!r}")
+    return value
+
+
 def _real(value, name: str) -> float:
     # a finite number: a bool, a string, NaN or an infinity is refused
     try:

@@ -12,15 +12,15 @@ the ``tp`` solve; each later restart runs only if those before it fail.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .initializers import (diagonal_anchors, modified_spectral_init,
                            spectral_init, tp_init, y_diag)
-from .model import (ConfigError, Ensemble, _integer, apply_sensing,
-                    relative_error, sgn)
-from .refine import HtpConfig, htp_run
+from .model import (ConfigError, Ensemble, _instance, _integer,
+                    apply_sensing, relative_error, sgn)
+from .refine import htp_run
 
 _INITIALIZERS = {
     "spectral": spectral_init,
@@ -32,17 +32,14 @@ METHODS = (*_INITIALIZERS, "tp_mr")
 
 @dataclass(frozen=True)
 class SolverConfigs:
-    """The HTP settings (an HtpConfig) and the restart cap b of tp_mr (an
-    integer >= 1), checked when built. The initializers take no settings:
-    their band, TP's s' and TP's step budget are the constants of
-    ``initializers``."""
+    """The restart cap b of tp_mr (an integer >= 1), checked when built:
+    the one setting of the solve path. The initializers and HTP take
+    none: the band, TP's s' and step budget are the constants of
+    ``initializers``, and HTP runs to ``htp_run``'s default cap."""
 
-    htp: HtpConfig = field(default_factory=HtpConfig)
     restarts: int = 20
 
     def __post_init__(self):
-        if not isinstance(self.htp, HtpConfig):
-            raise ConfigError(f"htp must be HtpConfig, got {self.htp!r}")
         object.__setattr__(self, "restarts",
                            _integer(self.restarts, "restarts"))
         if self.restarts < 1:
@@ -86,10 +83,9 @@ def _relative(value, truth):
     return None if truth is None else relative_error(value, truth)
 
 
-def solve_two_stage(e: Ensemble, s: int, method: str,
-                    cfg: SolverConfigs | None = None,
+def solve_two_stage(e: Ensemble, s: int, method: str, *,
                     truth=None) -> SolveReport:
-    """Initialize with the named method and refine with HTP.
+    """Initialize with the named method, then refine with HTP; no settings.
 
     method is one of "spectral", "modified_spectral", "tp". ``truth`` is
     an optional dense ground-truth vector used only for the report
@@ -97,11 +93,10 @@ def solve_two_stage(e: Ensemble, s: int, method: str,
     """
     if method not in _INITIALIZERS:
         raise ValueError(f"unknown two-stage method {method!r}")
-    cfg = cfg or SolverConfigs()
     t0 = time.perf_counter()
     est = _INITIALIZERS[method](e, s)
     t1 = time.perf_counter()
-    refined = htp_run(e, est.xhat, s, cfg.htp)
+    refined = htp_run(e, est.xhat, s)
     return SolveReport(x=refined.x, method=method,
                        init_dist=_relative(est.xhat, truth),
                        rel_error=_relative(refined.x, truth),
@@ -114,7 +109,9 @@ def solve_two_stage(e: Ensemble, s: int, method: str,
 def solve_multi_restart(e: Ensemble, s: int,
                         cfg: SolverConfigs | None = None,
                         truth=None) -> SolveReport:
-    """Truncated power method with at most b = cfg.restarts restarts.
+    """Truncated power method with at most b = cfg.restarts restarts
+    (cfg None means ``SolverConfigs()``; any other non-SolverConfigs
+    raises ConfigError).
 
     Restart b' runs ``tp_init`` anchored at the b'-th of the min(b, n)
     ``diagonal_anchors``, then HTP from its estimate. Restarts run in
@@ -130,14 +127,14 @@ def solve_multi_restart(e: Ensemble, s: int,
     restarts end on the same x and tie on score, so stopping at the first
     picks what running every restart would pick.
     """
-    cfg = cfg or SolverConfigs()
+    cfg = _instance(cfg, SolverConfigs, "cfg")
     runs = []  # (score, start, refined) of each restart that ran
     init_elapsed = refine_elapsed = 0.0
     for anchor in diagonal_anchors(y_diag(e), cfg.restarts):
         t0 = time.perf_counter()
         est = tp_init(e, s, anchor=anchor)
         t1 = time.perf_counter()
-        refined = htp_run(e, est.xhat, s, cfg.htp)
+        refined = htp_run(e, est.xhat, s)
         init_elapsed += t1 - t0
         refine_elapsed += time.perf_counter() - t1
         runs.append((gradient_residual(e, refined.x), est, refined))

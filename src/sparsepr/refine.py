@@ -23,7 +23,8 @@ import numpy as np
 
 from .initializers import magnitude_misfit, top_magnitude_indices
 from .linalg import restricted_least_squares
-from .model import ConfigError, Ensemble, _integer, apply_sensing, sgn
+from .model import (ConfigError, Ensemble, _instance, _integer,
+                    apply_sensing, sgn)
 
 MU = 0.95  # gradient step size, 0 < MU < 2
 
@@ -102,9 +103,10 @@ def htp_run(e: Ensemble, x0, s: int,
     the run would end at the cap on whichever of the two the parity of
     the remaining steps picks. Both exits return the x, residual and
     convergence verdict that running on to the cap would give; only the
-    step count and the residual history are shorter.
+    step count and the residual history are shorter. cfg None means
+    ``HtpConfig()``; any other non-HtpConfig raises ConfigError.
     """
-    cfg = cfg or HtpConfig()
+    cfg = _instance(cfg, HtpConfig, "cfg")
     x = np.asarray(x0, dtype=float).copy()
     if np.count_nonzero(x) > s:
         raise ValueError("initial point must be s-sparse")

@@ -71,7 +71,7 @@ def reference_multi_restart(e, s, cfg=None, truth=None):
     best = None
     for b_index, a in enumerate(anchors, start=1):
         est = sp.tp_init(e, s, anchor=a)
-        refined = sp.htp_run(e, est.xhat, s, cfg.htp)
+        refined = sp.htp_run(e, est.xhat, s)
         score = sp.gradient_residual(e, refined.x)
         if best is None or score < best[0]:
             best = (score, b_index, est, refined)
@@ -114,7 +114,7 @@ def reference_tp_init(e, s, *, anchor=None):
     seed = modified_spectral_init(e, s, anchor=anchor)
     if seed.degenerate:
         return seed, None
-    weights = truncation_weights(e, initializers.L_BAND, initializers.U_BAND)
+    weights = truncation_weights(e)
 
     w = seed.xhat / e.nu
     iterations = 0

@@ -103,9 +103,9 @@ def test_criterion_3_matrix_free_against_dense(dense_ybar):
         dense = dense_ybar(e.A, e.y, e.nu, 0.5, 10.0)
         w = g.standard_normal(n)
         worst = max(worst, float(np.max(np.abs(
-            sp.ybar_matvec(sp.ybar_operator(e, 0.5, 10.0), w) - dense @ w))))
+            sp.ybar_matvec(sp.ybar_operator(e), w) - dense @ w))))
         S = np.sort(g.choice(n, size=min(3, n), replace=False))
-        block = sp.restricted_ybar(e, S, 0.5, 10.0)
+        block = sp.restricted_ybar(e, S)
         worst = max(worst, float(np.max(np.abs(
             block - dense[np.ix_(S, S)]))))
     ok = worst <= 1e-12

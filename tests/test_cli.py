@@ -78,7 +78,7 @@ class TestTrial:
         proc = run_cli(["trial", "--n", "10"])
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("flags", [["--max-iters", "0"], ["--b", "0"],
+    @pytest.mark.parametrize("flags", [["--s", "41"], ["--b", "0"],
                                        # a later flag overrides the first
                                        ["--s", "0"],
                                        ["--seed", "-1"],
@@ -100,11 +100,12 @@ class TestTrial:
 
     @pytest.mark.parametrize("flags", [["--l", "0.5"], ["--u", "10"],
                                        ["--s-prime", "4"], ["--t-max", "366"],
-                                       ["--mu", "0.95"]])
+                                       ["--mu", "0.95"], ["--max-iters", "5"],
+                                       ["--max-iters", "100"]])
     def test_retired_setting_flag_exits_2_before_sampling(self, flags,
                                                           monkeypatch):
-        # the band, s', TP's budget and HTP's step are constants: even
-        # their old default values are refused
+        # the band, s', TP's budget, HTP's step and HTP's cap are
+        # constants: even their old default values are refused
         def no_sampling(*args):
             raise AssertionError("sampled with a retired flag")
 
@@ -210,8 +211,10 @@ class TestGrid:
 
     @pytest.mark.parametrize("configs,name", [
         ({"init": {}}, "init"), ({"init": {"l": 0.5, "u": 10.0}}, "init"),
-        ({"htp": {"mu": 0.95}}, "mu"),
-    ], ids=["init-empty", "init-band", "htp-mu"])
+        ({"htp": {"mu": 0.95}}, "htp"), ({"htp": {"max_iters": 5}}, "htp"),
+        ({"htp": {"max_iters": 100}}, "htp"),
+    ], ids=["init-empty", "init-band", "htp-mu", "htp-cap",
+            "htp-cap-default"])
     def test_retired_setting_exits_2_before_sampling(self, tmp_path,
                                                      monkeypatch, configs,
                                                      name):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sparsepr as sp
-from sparsepr import cli, harness
+from sparsepr import cli, harness, pipeline
 from sparsepr.harness import (ConfigError, grid_from_dict, run_grid,
                               splitmix64)
 
@@ -195,6 +195,18 @@ class TestSettingsCheckThemselves:
         with pytest.raises(ConfigError, match="configs"):
             sp.run_trial(10, 2, 20, "tp", 0, 0, configs=sp.HtpConfig())
 
+    @pytest.mark.parametrize("configs", [{}, 0, "", []],
+                             ids=["dict", "zero", "str", "list"])
+    def test_run_trial_falsy_configs_refused_before_sampling(
+            self, configs, monkeypatch):
+        # a falsy value is not None: it is refused, not read as defaults
+        def no_sampling(*args):
+            raise AssertionError("sampled with refused configs")
+
+        monkeypatch.setattr(harness, "sample_signal", no_sampling)
+        with pytest.raises(ConfigError, match="configs"):
+            sp.run_trial(16, 2, 40, "tp", 0, 1, configs=configs)
+
     @pytest.mark.parametrize("method", ["tp", "tp_mr", "spectral"])
     @pytest.mark.parametrize("configs", [sp.HtpConfig(), {"restarts": 3}],
                              ids=["HtpConfig", "dict"])
@@ -227,6 +239,34 @@ class TestSolve:
         e = sp.measure(sp.sample_signal(10, 2, rng), 20, rng)
         with pytest.raises(ConfigError):
             harness.solve(e, 2, "nope")
+
+    @pytest.mark.parametrize("method", ["tp", "tp_mr", "spectral"])
+    @pytest.mark.parametrize("s", [True, 2.5, "2", 0, 31, 81],
+                             ids=["True", "2.5", "str", "0", "above-n",
+                                  "above-m"])
+    def test_bad_s_refused_before_work(self, s, method, monkeypatch):
+        # s is checked as a grid checks it, before any initializer runs
+        def no_work(*args, **kwargs):
+            raise AssertionError("solved with a refused s")
+
+        for name in list(pipeline._INITIALIZERS):
+            monkeypatch.setitem(pipeline._INITIALIZERS, name, no_work)
+        for name in ("y_diag", "tp_init"):
+            monkeypatch.setattr(pipeline, name, no_work)
+        rng = sp.trial_rng(3)
+        e = sp.measure(sp.sample_signal(30, 3, rng), 80, rng)
+        with pytest.raises(ConfigError, match=r"\bs\b"):
+            harness.solve(e, s, method)
+
+    @pytest.mark.parametrize("method", ["tp", "tp_mr", "spectral"])
+    def test_integral_float_s_solves_as_int(self, method):
+        rng = sp.trial_rng(3)
+        x = sp.sample_signal(30, 3, rng)
+        e = sp.measure(x, 80, rng)
+        as_int = harness.solve(e, 2, method, truth=x.to_dense())
+        as_float = harness.solve(e, 2.0, method, truth=x.to_dense())
+        assert as_float.x.tobytes() == as_int.x.tobytes()
+        assert as_float.rel_error == as_int.rel_error
 
     def test_grid_and_cli_reach_the_harness_solver(self, tmp_path,
                                                    monkeypatch):
@@ -531,10 +571,16 @@ class TestGridFromDict:
         grid = grid_from_dict({
             "n": 64, "s_list": [4], "m_list": [100], "trials": 1,
             "seed": 1, "methods": ["tp_mr"],
-            "configs": {"htp": {"max_iters": 5}, "restarts": 7},
+            "configs": {"restarts": 7},
         })
-        assert grid.configs == sp.SolverConfigs(
-            htp=sp.HtpConfig(max_iters=5), restarts=7)
+        assert grid.configs == sp.SolverConfigs(restarts=7)
+        # HTP's cap is not a grid setting: "htp" is an unknown key
+        with pytest.raises(ConfigError, match="unknown configs keys.*htp"):
+            grid_from_dict({
+                "n": 64, "s_list": [4], "m_list": [100], "trials": 1,
+                "seed": 1, "methods": ["tp_mr"],
+                "configs": {"htp": {"max_iters": 5}, "restarts": 7},
+            })
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -570,10 +616,10 @@ class TestGridFromDict:
     def test_integral_float_accepted(self):
         grid = grid_from_dict({"n": 64.0, "s_list": [4], "m_list": [100],
                                "trials": 2.0, "seed": 1, "methods": ["tp"],
-                               "configs": {"htp": {"max_iters": 50.0}}})
+                               "configs": {"restarts": 5.0}})
         assert grid.n == 64 and grid.trials == 2
-        assert type(grid.configs.htp.max_iters) is int
-        assert grid.configs.htp.max_iters == 50
+        assert type(grid.configs.restarts) is int
+        assert grid.configs.restarts == 5
 
     @pytest.mark.parametrize("configs", [
         {"restarts": True}, {"restarts": 2.5},

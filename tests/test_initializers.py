@@ -182,12 +182,14 @@ class TestYbarMatvec:
         # nu = 2, band [1, 20] contains y = 2
         w = np.array([1.0, 1.0])
         expected = 4.0 * 3.0 * np.array([1.0, 2.0])  # y^2 <a,w> a
-        op = sp.ybar_operator(e, 0.5, 10.0)
+        op = sp.ybar_operator(e)
         np.testing.assert_allclose(sp.ybar_matvec(op, w), expected)
 
-    def test_all_rows_above_band(self):
+    def test_all_rows_above_band(self, monkeypatch):
         e = one_row_ensemble([1.0, 2.0], 2.0)
-        op = sp.ybar_operator(e, 0.1, 0.5)  # band [0.2, 1] < 2
+        monkeypatch.setattr(initializers, "L_BAND", 0.1)
+        monkeypatch.setattr(initializers, "U_BAND", 0.5)
+        op = sp.ybar_operator(e)  # band [0.2, 1] < 2
         out = sp.ybar_matvec(op, np.ones(2))
         np.testing.assert_allclose(out, [0.0, 0.0])
 
@@ -202,7 +204,7 @@ class TestYbarMatvec:
             e = sp.measure(x, m, g)
             w = g.standard_normal(n)
             dense = dense_ybar(e.A, e.y, e.nu, 0.5, 10.0)
-            op = sp.ybar_operator(e, 0.5, 10.0)
+            op = sp.ybar_operator(e)
             np.testing.assert_allclose(sp.ybar_matvec(op, w),
                                        dense @ w, atol=1e-12)
 
@@ -213,7 +215,7 @@ class TestYbarMatvec:
         u = g.standard_normal(30)
         v = g.standard_normal(30)
         a, b = 0.7, -1.3
-        op = sp.ybar_operator(e, 0.5, 10.0)
+        op = sp.ybar_operator(e)
         lhs = sp.ybar_matvec(op, a * u + b * v)
         rhs = a * sp.ybar_matvec(op, u) + b * sp.ybar_matvec(op, v)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12 * e.nu**2)
@@ -226,15 +228,15 @@ class TestYbarMatvec:
         e2 = Ensemble.from_measurements(e.A[perm], e.y[perm])
         w = g.standard_normal(20)
         np.testing.assert_allclose(
-            sp.ybar_matvec(sp.ybar_operator(e, 0.5, 10.0), w),
-            sp.ybar_matvec(sp.ybar_operator(e2, 0.5, 10.0), w),
+            sp.ybar_matvec(sp.ybar_operator(e), w),
+            sp.ybar_matvec(sp.ybar_operator(e2), w),
             rtol=1e-10, atol=1e-12)
 
 
 class TestRestrictedYbar:
     def test_single_index_single_row(self):
         e = one_row_ensemble([1.0, 2.0], 2.0)
-        block = sp.restricted_ybar(e, np.array([1]), 0.5, 10.0)
+        block = sp.restricted_ybar(e, np.array([1]))
         np.testing.assert_allclose(block, [[16.0]])
 
     def test_agrees_with_matvec_on_indicators(self):
@@ -242,11 +244,11 @@ class TestRestrictedYbar:
         x = sp.sample_signal(12, 3, g)
         e = sp.measure(x, 80, g)
         S = np.array([1, 4, 9])
-        block = sp.restricted_ybar(e, S, 0.5, 10.0)
+        block = sp.restricted_ybar(e, S)
         for col, j in enumerate(S):
             ind = np.zeros(12)
             ind[j] = 1.0
-            full = sp.ybar_matvec(sp.ybar_operator(e, 0.5, 10.0), ind)
+            full = sp.ybar_matvec(sp.ybar_operator(e), ind)
             np.testing.assert_allclose(block[:, col], full[S],
                                        atol=1e-12)
 
@@ -256,7 +258,7 @@ class TestRestrictedYbar:
         x = sp.sample_signal(8, 3, rng)
         e = sp.measure(x, 200_000, rng)
         S = np.setdiff1d(np.arange(8), x.support)[:3]
-        block = sp.restricted_ybar(e, S, 0.5, 10.0)
+        block = sp.restricted_ybar(e, S)
         alpha = sp.truncated_gaussian_moment(2, 0.5, 10.0)
         tol = 0.05 * x.norm**2
         off = block - np.diag(np.diag(block))
@@ -266,7 +268,7 @@ class TestRestrictedYbar:
     def test_empty_support_rejected(self):
         e = one_row_ensemble([1.0, 2.0], 2.0)
         with pytest.raises(ValueError):
-            sp.restricted_ybar(e, np.array([], dtype=int), 0.5, 10.0)
+            sp.restricted_ybar(e, np.array([], dtype=int))
 
 
 class TestExpectationIdentity:
@@ -293,7 +295,7 @@ class TestModifiedSpectralInit:
         alpha = sp.truncated_gaussian_moment(2, 0.5, 10.0)
         beta = sp.truncated_gaussian_moment(4, 0.5, 10.0)
 
-        def builder(e_, S, l, u):
+        def builder(e_, S):
             return exact_expectation_block(x, alpha, beta, S)
 
         monkeypatch.setattr(initializers, "restricted_ybar", builder)
@@ -333,7 +335,7 @@ class TestSpectralInit:
         alpha = sp.truncated_gaussian_moment(2, 0.5, 10.0)
         beta = sp.truncated_gaussian_moment(4, 0.5, 10.0)
 
-        def builder(e_, S, l, u):
+        def builder(e_, S):
             return exact_expectation_block(x, alpha, beta, S)
 
         monkeypatch.setattr(initializers, "restricted_ybar", builder)
@@ -375,7 +377,7 @@ class TestTpInit:
         alpha = sp.truncated_gaussian_moment(2, 0.5, 10.0)
         beta = sp.truncated_gaussian_moment(4, 0.5, 10.0)
 
-        def builder(e_, S, l, u):
+        def builder(e_, S):
             return exact_expectation_block(x, alpha, beta, S)
 
         def exact_mv(op, w):
@@ -588,7 +590,7 @@ class TestTpRestarts:
             anchors = sp.diagonal_anchors(sp.y_diag(e), 6)
             for b, a in enumerate(anchors, start=1):
                 est = sp.tp_init(e, s, anchor=a)
-                refined = sp.htp_run(e, est.xhat, s, cfg.htp)
+                refined = sp.htp_run(e, est.xhat, s)
                 score = sp.gradient_residual(e, refined.x)
                 if best is None or score < best[0]:
                     best = (score, b, refined.x)
@@ -607,16 +609,20 @@ class TestMagnitudeMisfit:
 
 
 class TestTruncationWeights:
-    def test_band_keeps_interior_rows_only(self):
+    def test_band_keeps_interior_rows_only(self, monkeypatch):
         A = np.array([[1.0], [1.0], [1.0], [1.0]])
         y = np.array([1.0, 2.0, 4.0, 8.0])
         e = Ensemble.from_measurements(A, y)  # nu ~ 4.61
-        w = truncation_weights(e, 0.4, 1.1)  # band ~ [1.84, 5.07]
+        monkeypatch.setattr(initializers, "L_BAND", 0.4)
+        monkeypatch.setattr(initializers, "U_BAND", 1.1)
+        w = truncation_weights(e)  # band ~ [1.84, 5.07]
         np.testing.assert_allclose(w, [0.0, 4.0, 16.0, 0.0])
 
-    def test_degenerate_band_keeps_exact_matches(self):
+    def test_degenerate_band_keeps_exact_matches(self, monkeypatch):
         A = np.ones((2, 1))
         y = np.array([2.0, 2.0])
         e = Ensemble.from_measurements(A, y)  # nu = 2 exactly
-        w = truncation_weights(e, 1.0, 1.0)  # band [2, 2], edges inclusive
+        monkeypatch.setattr(initializers, "L_BAND", 1.0)
+        monkeypatch.setattr(initializers, "U_BAND", 1.0)
+        w = truncation_weights(e)  # band [2, 2], edges inclusive
         np.testing.assert_allclose(w, [4.0, 4.0])

@@ -1,10 +1,11 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 import sparsepr as sp
-from sparsepr import pipeline
+from sparsepr import initializers, pipeline
 from sparsepr.initializers import y_diag
 
 
@@ -242,21 +243,41 @@ class TestSolverConfigs:
         with pytest.raises(ValueError):
             sp.SolverConfigs(restarts=0)
 
-    @pytest.mark.parametrize("field, value", [
-        ("htp", {"max_iters": 5}), ("htp", None), ("htp", sp.HtpConfig),
-        ("htp", {"mu": 0.5}), ("htp", sp.SolverConfigs())])
-    def test_wrong_config_type_rejected(self, field, value):
-        with pytest.raises(pipeline.ConfigError, match=field):
-            sp.SolverConfigs(**{field: value})
-
-    def test_config_objects_accepted(self):
-        cfg = sp.SolverConfigs(htp=sp.HtpConfig(max_iters=7))
-        assert cfg.htp.max_iters == 7
-
-    def test_only_htp_cap_and_restarts_are_settable(self):
-        # the band, s', TP's budget and HTP's step are module constants
+    def test_only_restarts_is_settable(self):
+        # the band, s', TP's budget, HTP's step and HTP's cap are constants
         assert [f.name for f in dataclasses.fields(sp.SolverConfigs)] == [
-            "htp", "restarts"]
-        assert [f.name for f in dataclasses.fields(sp.HtpConfig)] == [
-            "max_iters"]
+            "restarts"]
         assert not hasattr(sp, "InitConfig")
+
+    def test_solve_path_signatures(self):
+        def params(fn):
+            return [("*" if p.kind is p.KEYWORD_ONLY else "") + p.name
+                    for p in inspect.signature(fn).parameters.values()]
+
+        assert params(sp.solve_two_stage) == ["e", "s", "method", "*truth"]
+        assert params(sp.ybar_operator) == ["e"]
+        assert params(sp.restricted_ybar) == ["e", "support"]
+        assert params(initializers.truncation_weights) == ["e"]
+
+    def test_stale_settings_argument_fails_at_the_call(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("initialized with a stale argument")
+
+        monkeypatch.setitem(pipeline._INITIALIZERS, "tp", no_work)
+        e = sp.Ensemble.from_measurements(np.ones((4, 6)), np.ones(4))
+        with pytest.raises(TypeError):
+            sp.solve_two_stage(e, 2, "tp", sp.SolverConfigs())
+
+    @pytest.mark.parametrize("cfg", [{}, 0, "", [], {"restarts": 3},
+                                     sp.HtpConfig()],
+                             ids=["dict", "zero", "str", "list",
+                                  "restarts-dict", "HtpConfig"])
+    def test_multi_restart_cfg_not_solver_configs_refused_before_work(
+            self, cfg, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("solved with a refused cfg")
+
+        monkeypatch.setattr(pipeline, "y_diag", no_work)
+        e = sp.Ensemble.from_measurements(np.ones((4, 6)), np.ones(4))
+        with pytest.raises(pipeline.ConfigError, match="cfg"):
+            sp.solve_multi_restart(e, 2, cfg)

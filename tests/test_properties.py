@@ -16,7 +16,6 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -25,8 +24,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from sparsepr import (HtpConfig, cli, diagonal_anchors,  # noqa: E402
-                      harness, truncate)
+from sparsepr import (cli, diagonal_anchors, harness,  # noqa: E402
+                      truncate)
 from sparsepr.harness import ConfigError, grid_from_dict  # noqa: E402
 from sparsepr.initializers import top_magnitude_indices  # noqa: E402
 from sparsepr.instance_io import (InstanceFormatError,  # noqa: E402
@@ -44,13 +43,12 @@ edge_values = st.sampled_from([None, True, 0, -1, 1.5, 50.0, 2**64, 10**400,
 
 VALID_GRID = {"n": 16, "s_list": [2], "m_list": [40], "trials": 1, "seed": 1,
               "methods": ["tp"], "success_threshold": 1e-3,
-              "configs": {"htp": {}, "restarts": 2}}
-# (path to a dict inside VALID_GRID, key in it); "init" is a retired section
+              "configs": {"restarts": 2}}
+# (path to a dict inside VALID_GRID, key in it); "init" and "htp" are
+# retired sections
 TARGETS = ([((), key) for key in [*VALID_GRID, "bogus"]]
            + [(("configs",), key) for key in ("init", "htp", "restarts",
-                                                "bogus")]
-           + [(("configs", "htp"), key)
-              for key in [f.name for f in fields(HtpConfig)] + ["bogus"]])
+                                                "bogus")])
 
 
 @st.composite

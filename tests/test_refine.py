@@ -5,6 +5,7 @@ import pytest
 
 import sparsepr as sp
 from sparsepr import refine
+from sparsepr.model import ConfigError
 from sparsepr.refine import SUPPORT_STALL
 
 
@@ -210,6 +211,20 @@ class TestHtpConfig:
     def test_iteration_floor(self):
         with pytest.raises(ValueError):
             sp.HtpConfig(max_iters=0)
+
+    @pytest.mark.parametrize("cfg", [0, {}, "", {"max_iters": 5},
+                                     sp.SolverConfigs()],
+                             ids=["zero", "dict", "str", "cap-dict",
+                                  "SolverConfigs"])
+    def test_run_cfg_not_htp_config_refused_before_work(self, cfg,
+                                                        monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("stepped with a refused cfg")
+
+        monkeypatch.setattr(refine, "htp_step", no_work)
+        e = sp.Ensemble.from_measurements(np.ones((4, 6)), np.ones(4))
+        with pytest.raises(ConfigError, match="cfg"):
+            sp.htp_run(e, np.zeros(6), 2, cfg)
 
 
 # (s, m, trial, initializer): the n=200 runs of grid seed 11 where HTP
