@@ -9,7 +9,7 @@ a counter-based Philox generator. The method name does not enter the data
 seed, so all methods in a grid cell solve the same signal and ensemble
 (paired comparisons); the solvers themselves draw no randomness.
 
-``elapsed_ms`` is wall-clock and therefore never reproducible; pass
+``elapsed_ms`` is clock time and therefore never reproducible; pass
 ``record_timing=False`` to pin it to 0.0, under which records and CSV
 output are byte-identical across reruns and worker counts.
 """
@@ -26,6 +26,7 @@ import time
 
 import numpy as np
 
+from .initializers import _per_trial
 from .model import (ConfigError, Ensemble, _instance, _integer, _real,
                     measure, sample_signal)
 from .pipeline import (METHODS, SolveReport, SolverConfigs,
@@ -73,7 +74,9 @@ def trial_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One solved Monte Carlo instance."""
+    """One solved Monte Carlo instance. elapsed_ms is the larger of the
+    solve's wall time and its init plus refine time (``_cell_task``), or
+    0.0 under record_timing=False."""
 
     n: int
     s: int
@@ -202,16 +205,11 @@ def solve(e: Ensemble, s: int, method: str,
     initializer followed by HTP and take no settings. configs None means
     ``SolverConfigs()``. ConfigError, before any work, unless configs is
     None or a SolverConfigs, the method is known, and s is an integer
-    (integral floats become ints) with 1 <= s <= min(n, m)."""
+    (integral floats become ints) with 1 <= s <= min(n, m), which the
+    solver checks."""
     configs = _instance(configs, SolverConfigs, "configs")
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
-    s = _integer(s, "s")
-    if not 1 <= s <= e.n:
-        raise ConfigError(f"need 1 <= s <= n = {e.n}, got s = {s}")
-    if s > e.m:
-        # HTP's least squares on s columns needs at least s equations
-        raise ConfigError(f"s must be at most m: s = {s} > m = {e.m}")
     if method == "tp_mr":
         return solve_multi_restart(e, s, configs, truth=truth)
     return solve_two_stage(e, s, method, truth=truth)
@@ -241,26 +239,35 @@ def run_trial(n: int, s: int, m: int, method: str, trial_index: int,
 
 
 def _cell_task(args):
+    """Sample one trial and solve it with each method of the grid, in
+    one ``initializers._per_trial`` scope. tp_mr goes first, so its
+    restart 1 is timed inside its own call and a tp solve reuses it,
+    charged restart 1's stage times. Records follow ``grid.methods``."""
     grid, record_timing, s, m, trial_index = args
     seed = derive_trial_seed(grid.seed, grid.n, s, m, trial_index)
-    records = []
+    records = {}
     with _single_blas_thread():
         rng = trial_rng(seed)
         signal = sample_signal(grid.n, s, rng)
         ensemble = measure(signal, m, rng)
         truth = signal.to_dense()
-        for method in grid.methods:
-            t0 = time.perf_counter()
-            report = solve(ensemble, s, method, grid.configs, truth=truth)
-            secs = time.perf_counter() - t0 if record_timing else 0.0
-            records.append(TrialRecord(
-                n=grid.n, s=s, m=m, trial_index=trial_index, method=method,
-                seed_used=seed,
-                success=bool(report.rel_error <= grid.success_threshold),
-                rel_error=report.rel_error, init_dist=report.init_dist,
-                htp_iters=report.iterations,
-                chosen_restart=report.chosen_restart, elapsed_ms=secs * 1e3))
-    return records
+        with _per_trial(ensemble):
+            # sorted is stable: tp_mr first, the rest in grid order
+            for method in sorted(grid.methods, key=lambda k: k != "tp_mr"):
+                t0 = time.perf_counter()
+                report = solve(ensemble, s, method, grid.configs,
+                               truth=truth)
+                secs = max(time.perf_counter() - t0,
+                           report.init_elapsed + report.refine_elapsed)
+                records[method] = TrialRecord(
+                    n=grid.n, s=s, m=m, trial_index=trial_index,
+                    method=method, seed_used=seed,
+                    success=bool(report.rel_error <= grid.success_threshold),
+                    rel_error=report.rel_error, init_dist=report.init_dist,
+                    htp_iters=report.iterations,
+                    chosen_restart=report.chosen_restart,
+                    elapsed_ms=secs * 1e3 if record_timing else 0.0)
+    return [records[method] for method in grid.methods]
 
 
 def _workers(requested: int, tasks: int) -> int:

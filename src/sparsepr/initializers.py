@@ -28,12 +28,14 @@ support and TP's truncation T_s' by magnitude, and the anchors by Y_jj.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linalg import top_eigenvector
-from .model import Ensemble, apply_sensing, dist
+from .model import ConfigError, Ensemble, _integer, apply_sensing, dist
 
 # truncation band [L_BAND*nu, U_BAND*nu] of Ybar (the worked constants)
 L_BAND, U_BAND = 0.5, 10.0
@@ -57,6 +59,39 @@ class InitEstimate:
     j0: int | None
     degenerate: bool
     iterations_run: int
+
+
+# (ensemble, {key: value}) of the trial whose solves share their work
+_TRIAL = contextvars.ContextVar("sparsepr_trial", default=None)
+
+
+@contextlib.contextmanager
+def _per_trial(e: Ensemble):
+    """Within the block, ``_once`` computes each value for ``e`` once."""
+    token = _TRIAL.set((e, {}))
+    try:
+        yield
+    finally:
+        _TRIAL.reset(token)
+
+
+def _once(e: Ensemble, key, compute):
+    """compute(); inside a ``_per_trial`` block of this very ensemble, the
+    first result for ``key`` is kept and returned to every later call."""
+    scope = _TRIAL.get()
+    if scope is None or scope[0] is not e:
+        return compute()
+    if key not in scope[1]:
+        scope[1][key] = compute()
+    return scope[1][key]
+
+
+def _sparsity(e: Ensemble, s) -> int:
+    # 2.0 becomes 2; a bool or 2.5 is refused, never truncated
+    s = _integer(s, "s")
+    if not 1 <= s <= e.n:
+        raise ConfigError(f"need 1 <= s <= n = {e.n}, got s = {s}")
+    return s
 
 
 def _ranked(values, k: int) -> np.ndarray:
@@ -163,10 +198,9 @@ def _spectral_from_support(e: Ensemble, support: np.ndarray,
 
 def spectral_init(e: Ensemble, s: int) -> InitEstimate:
     """Baseline spectral initializer: support from the top-s diagonal of Y."""
-    if not 1 <= s <= e.n:
-        raise ValueError("need 1 <= s <= n")
-    return _spectral_from_support(e, top_magnitude_indices(y_diag(e), s),
-                                  None)
+    s = _sparsity(e, s)
+    diag = _once(e, "y_diag", lambda: y_diag(e))
+    return _spectral_from_support(e, top_magnitude_indices(diag, s), None)
 
 
 def modified_spectral_init(e: Ensemble, s: int, *,
@@ -177,9 +211,10 @@ def modified_spectral_init(e: Ensemble, s: int, *,
     All-zero observations give a zero block, so the estimate is the
     flagged zero with support 0..s-1.
     """
-    if not 1 <= s <= e.n:
-        raise ValueError("need 1 <= s <= n")
-    j0 = int(diagonal_anchors(y_diag(e), 1)[0] if anchor is None else anchor)
+    s = _sparsity(e, s)
+    if anchor is None:
+        anchor = diagonal_anchors(_once(e, "y_diag", lambda: y_diag(e)), 1)[0]
+    j0 = int(anchor)
     support = top_magnitude_indices(y_column(e, j0), s)
     return _spectral_from_support(e, support, j0)
 
@@ -210,6 +245,7 @@ def tp_init(e: Ensemble, s: int, *,
     returned as it is, and a zero iterate at step t returns the start
     flagged degenerate with ``iterations_run=t``.
     """
+    s = _sparsity(e, s)
     seed = modified_spectral_init(e, s, anchor=anchor)
     if seed.degenerate:
         return seed

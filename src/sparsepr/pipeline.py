@@ -7,6 +7,9 @@ them, and keeps the candidate with the smallest gradient-norm residual
 ||A^T (A x - y .* sgn(A x))||_2 among the restarts that ran; for
 nonnegative y this matches selecting on |y| .* sign(A x). Restart 1 is
 the ``tp`` solve; each later restart runs only if those before it fail.
+
+Inside a grid trial (``initializers._per_trial``) each TP restart and the
+diagonal of Y run once, so ``tp`` after ``tp_mr`` reuses restart 1.
 """
 
 from __future__ import annotations
@@ -16,18 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .initializers import (diagonal_anchors, modified_spectral_init,
-                           spectral_init, tp_init, y_diag)
+from .initializers import (_once, _sparsity, diagonal_anchors,
+                           modified_spectral_init, spectral_init, tp_init,
+                           y_diag)
 from .model import (ConfigError, Ensemble, _instance, _integer,
                     apply_sensing, relative_error, sgn)
 from .refine import htp_run
 
+# the initializers solve_two_stage runs as they are; tp runs as restart 1
 _INITIALIZERS = {
     "spectral": spectral_init,
     "modified_spectral": modified_spectral_init,
-    "tp": tp_init,
 }
-METHODS = (*_INITIALIZERS, "tp_mr")
+METHODS = (*_INITIALIZERS, "tp", "tp_mr")
 
 
 @dataclass(frozen=True)
@@ -83,25 +87,56 @@ def _relative(value, truth):
     return None if truth is None else relative_error(value, truth)
 
 
+def _checked_s(e: Ensemble, s) -> int:
+    s = _sparsity(e, s)
+    if s > e.m:
+        # HTP's least squares on s columns needs at least s equations
+        raise ConfigError(f"s must be at most m: s = {s} > m = {e.m}")
+    return s
+
+
+def _anchors(e: Ensemble, b: int) -> np.ndarray:
+    return diagonal_anchors(_once(e, "y_diag", lambda: y_diag(e)), b)
+
+
+def _two_stage(e: Ensemble, s: int, init, **anchor):
+    # (estimate, HTP result, init seconds, refine seconds)
+    t0 = time.perf_counter()
+    est = init(e, s, **anchor)
+    t1 = time.perf_counter()
+    refined = htp_run(e, est.xhat, s)
+    return est, refined, t1 - t0, time.perf_counter() - t1
+
+
+def _restart(e: Ensemble, s: int, anchor):
+    # TP then HTP from one anchor, run once per trial scope
+    return _once(e, ("tp", s, int(anchor)),
+                 lambda: _two_stage(e, s, tp_init, anchor=anchor))
+
+
 def solve_two_stage(e: Ensemble, s: int, method: str, *,
                     truth=None) -> SolveReport:
     """Initialize with the named method, then refine with HTP; no settings.
 
-    method is one of "spectral", "modified_spectral", "tp". ``truth`` is
-    an optional dense ground-truth vector used only for the report
-    metrics. A degenerate initialization still refines and reports.
+    method is one of "spectral", "modified_spectral", "tp"; ``tp`` is
+    ``solve_multi_restart``'s restart 1, at the first diagonal anchor.
+    ``truth`` is an optional dense ground-truth vector used only for the
+    report metrics. ConfigError, before any work, unless s is an integer
+    (integral floats become ints) with 1 <= s <= min(n, m). A degenerate
+    initialization still refines and reports.
     """
-    if method not in _INITIALIZERS:
+    if method != "tp" and method not in _INITIALIZERS:
         raise ValueError(f"unknown two-stage method {method!r}")
-    t0 = time.perf_counter()
-    est = _INITIALIZERS[method](e, s)
-    t1 = time.perf_counter()
-    refined = htp_run(e, est.xhat, s)
+    s = _checked_s(e, s)
+    if method == "tp":
+        est, refined, init_s, refine_s = _restart(e, s, _anchors(e, 1)[0])
+    else:
+        est, refined, init_s, refine_s = _two_stage(e, s,
+                                                    _INITIALIZERS[method])
     return SolveReport(x=refined.x, method=method,
                        init_dist=_relative(est.xhat, truth),
                        rel_error=_relative(refined.x, truth),
-                       init_elapsed=t1 - t0,
-                       refine_elapsed=time.perf_counter() - t1,
+                       init_elapsed=init_s, refine_elapsed=refine_s,
                        iterations=refined.iterations,
                        degenerate=est.degenerate, htp_stop=refined.stop)
 
@@ -111,7 +146,7 @@ def solve_multi_restart(e: Ensemble, s: int,
                         truth=None) -> SolveReport:
     """Truncated power method with at most b = cfg.restarts restarts
     (cfg None means ``SolverConfigs()``; any other non-SolverConfigs
-    raises ConfigError).
+    raises ConfigError). s is checked as in ``solve_two_stage``.
 
     Restart b' runs ``tp_init`` anchored at the b'-th of the min(b, n)
     ``diagonal_anchors``, then HTP from its estimate. Restarts run in
@@ -128,15 +163,13 @@ def solve_multi_restart(e: Ensemble, s: int,
     picks what running every restart would pick.
     """
     cfg = _instance(cfg, SolverConfigs, "cfg")
+    s = _checked_s(e, s)
     runs = []  # (score, start, refined) of each restart that ran
     init_elapsed = refine_elapsed = 0.0
-    for anchor in diagonal_anchors(y_diag(e), cfg.restarts):
-        t0 = time.perf_counter()
-        est = tp_init(e, s, anchor=anchor)
-        t1 = time.perf_counter()
-        refined = htp_run(e, est.xhat, s)
-        init_elapsed += t1 - t0
-        refine_elapsed += time.perf_counter() - t1
+    for anchor in _anchors(e, cfg.restarts):
+        est, refined, init_s, refine_s = _restart(e, s, anchor)
+        init_elapsed += init_s
+        refine_elapsed += refine_s
         runs.append((gradient_residual(e, refined.x), est, refined))
         if refined.converged:
             break

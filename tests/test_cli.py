@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sparsepr as sp
-from sparsepr import harness
+from sparsepr import harness, pipeline
 from sparsepr.cli import main
 
 
@@ -433,7 +433,9 @@ class TestSolve:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved with s > m")
 
-        monkeypatch.setattr(harness, "solve_two_stage", no_solve)
+        # the solver checks s before its first stage
+        for name in ("y_diag", "tp_init", "htp_run"):
+            monkeypatch.setattr(pipeline, name, no_solve)
         rng = sp.trial_rng(5)
         x = sp.sample_signal(10, 3, rng)
         path = tmp_path / "inst.spr1"

@@ -7,12 +7,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import sparsepr as sp
-from sparsepr import cli, harness, pipeline
+from sparsepr import cli, harness, initializers, pipeline
 from sparsepr.harness import (ConfigError, grid_from_dict, run_grid,
                               splitmix64)
 
@@ -485,6 +486,115 @@ class TestRunGrid:
         monkeypatch.setattr(harness.os, "sched_getaffinity",
                             lambda pid: {0}, raising=False)
         assert harness._workers(4, 10) == 1
+
+
+def _sharing_grid(methods):
+    # trial 1 goes past restart 1 (tp_mr picks restart 2), trials 0 and
+    # 2 converge at restart 1
+    return sp.ExperimentGrid(n=40, s_list=(4,), m_list=(30,), trials=3,
+                             seed=1, methods=methods,
+                             configs=sp.SolverConfigs(restarts=4))
+
+
+def _counting(calls, fn, inside=None):
+    # a seam that records, per call, whether tp_mr was being solved
+    def counted(*args, **kwargs):
+        calls.append(bool(inside))
+        return fn(*args, **kwargs)
+    return counted
+
+
+class TestPerTrialSharing:
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_solve_order_never_moves_a_record(self, parallelism):
+        forward = run_grid(_sharing_grid(("tp", "tp_mr")), parallelism,
+                           record_timing=False).records
+        backward = run_grid(_sharing_grid(("tp_mr", "tp")), parallelism,
+                            record_timing=False).records
+        assert forward == backward
+        assert {r.chosen_restart for r in forward} == {None, 1, 2}
+        # each record matches a trial that solved its method alone
+        assert forward == [
+            sp.run_trial(40, 4, 30, r.method, r.trial_index, 1,
+                         sp.SolverConfigs(restarts=4), record_timing=False)
+            for r in forward]
+
+    @pytest.mark.parametrize("methods", [("tp", "tp_mr"), ("tp_mr", "tp"),
+                                         tuple(pipeline.METHODS)])
+    def test_a_cell_returns_records_in_grid_order(self, methods):
+        grid = _sharing_grid(methods)
+        records = harness._cell_task((grid, False, 4, 30, 0))
+        assert [r.method for r in records] == list(methods)
+
+    def test_restart_one_runs_once_inside_tp_mr(self, monkeypatch):
+        in_tp_mr = []
+        solve_mr = harness.solve_multi_restart
+
+        def marked(*args, **kwargs):
+            in_tp_mr.append(True)
+            try:
+                return solve_mr(*args, **kwargs)
+            finally:
+                in_tp_mr.pop()
+
+        tp_calls, htp_calls = [], []
+        monkeypatch.setattr(harness, "solve_multi_restart", marked)
+        monkeypatch.setattr(pipeline, "tp_init",
+                            _counting(tp_calls, pipeline.tp_init, in_tp_mr))
+        monkeypatch.setattr(pipeline, "htp_run",
+                            _counting(htp_calls, pipeline.htp_run, in_tp_mr))
+        tp, mr = harness._cell_task((_sharing_grid(("tp", "tp_mr")), False,
+                                     4, 30, 0))
+        assert mr.chosen_restart == 1 and mr.success
+        assert (tp.rel_error, tp.htp_iters) == (mr.rel_error, mr.htp_iters)
+        assert tp_calls == htp_calls == [True]
+
+    def test_y_diag_runs_once_in_a_four_method_trial(self, monkeypatch):
+        calls = []
+        for module in (pipeline, initializers):
+            monkeypatch.setattr(module, "y_diag",
+                                _counting(calls, initializers.y_diag))
+        grid = _sharing_grid(tuple(pipeline.METHODS))
+        assert len(harness._cell_task((grid, False, 4, 30, 0))) == 4
+        assert len(calls) == 1
+
+    def test_nothing_is_kept_outside_a_cell(self, monkeypatch):
+        rng = sp.trial_rng(3)
+        x = sp.sample_signal(30, 3, rng)
+        e = sp.measure(x, 80, rng)
+        calls = []
+        monkeypatch.setattr(pipeline, "htp_run",
+                            _counting(calls, pipeline.htp_run))
+        first = sp.solve(e, 3, "tp")
+        second = sp.solve(e, 3, "tp")
+        assert len(calls) == 2
+        assert first.x.tobytes() == second.x.tobytes()
+
+    def test_a_reused_restart_is_charged_its_stage_times(self, monkeypatch):
+        # HTP takes at least 50 ms here, so the tp call that reuses
+        # restart 1 returns far sooner than restart 1 took
+        htp_run = pipeline.htp_run
+
+        def slow_htp(*args, **kwargs):
+            time.sleep(0.05)
+            return htp_run(*args, **kwargs)
+
+        reports = []
+        solve_mr = harness.solve_multi_restart
+
+        def kept(*args, **kwargs):
+            reports.append(solve_mr(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(pipeline, "htp_run", slow_htp)
+        monkeypatch.setattr(harness, "solve_multi_restart", kept)
+        tp, mr = harness._cell_task((_sharing_grid(("tp", "tp_mr")), True,
+                                     4, 30, 0))
+        (report,) = reports
+        assert report.restarts_run == 1
+        stages_ms = 1e3 * (report.init_elapsed + report.refine_elapsed)
+        assert tp.elapsed_ms >= stages_ms >= 50
+        assert mr.elapsed_ms >= stages_ms
 
 
 class TestWilsonInterval:

@@ -228,6 +228,55 @@ class TestEarlyStop:
         assert rep.htp_stop != "converged"
 
 
+def _n30_m80():
+    rng = sp.trial_rng(3)
+    x = sp.sample_signal(30, 3, rng)
+    return x, sp.measure(x, 80, rng)
+
+
+_SOLVERS = {
+    "two_stage_tp": lambda e, s: sp.solve_two_stage(e, s, "tp"),
+    "two_stage_spectral": lambda e, s: sp.solve_two_stage(e, s, "spectral"),
+    "multi_restart": lambda e, s: sp.solve_multi_restart(e, s),
+}
+_INITS = {"tp_init": sp.tp_init, "spectral_init": sp.spectral_init,
+          "modified_spectral_init": sp.modified_spectral_init}
+
+
+class TestSparsityCheck:
+    @pytest.mark.parametrize("solver", list(_SOLVERS))
+    @pytest.mark.parametrize("s", [True, 2.5, 0, 31, 81],
+                             ids=["True", "2.5", "0", "above-n", "above-m"])
+    def test_solvers_refuse_s_before_work(self, solver, s, monkeypatch):
+        # a bool once ran silently as s = 1
+        def no_work(*args, **kwargs):
+            raise AssertionError("solved with a refused s")
+
+        for name in ("y_diag", "tp_init", "htp_run"):
+            monkeypatch.setattr(pipeline, name, no_work)
+        for name in list(pipeline._INITIALIZERS):
+            monkeypatch.setitem(pipeline._INITIALIZERS, name, no_work)
+        _, e = _n30_m80()
+        with pytest.raises(pipeline.ConfigError, match=r"\bs\b"):
+            _SOLVERS[solver](e, s)
+
+    @pytest.mark.parametrize("solver", list(_SOLVERS))
+    def test_solvers_take_an_integral_float_s(self, solver):
+        # s = 2.0 once raised TypeError in a slice, after y_diag had run
+        _, e = _n30_m80()
+        as_int, as_float = (_SOLVERS[solver](e, s) for s in (2, 2.0))
+        assert as_float.x.tobytes() == as_int.x.tobytes()
+
+    @pytest.mark.parametrize("init", list(_INITS))
+    def test_initializers_refuse_a_bool_or_fractional_s(self, init):
+        _, e = _n30_m80()
+        for s in (True, 2.5):
+            with pytest.raises(pipeline.ConfigError, match="integer"):
+                _INITS[init](e, s)
+        assert _INITS[init](e, 2.0).xhat.tobytes() == \
+            _INITS[init](e, 2).xhat.tobytes()
+
+
 class TestGradientResidual:
     def test_zero_for_perfect_fit(self, solved_instance):
         x, e = solved_instance
