@@ -6,8 +6,11 @@ All estimators work from the weighted covariance surrogate
 
 and its band-truncated companion Ybar, which keeps only rows with
 L_BAND*nu <= y_i <= U_BAND*nu, the fixed band [0.5 nu, 10 nu]. Neither
-matrix is ever materialized at full size: products with Ybar cost O(m n)
-and only |S| x |S| principal blocks are assembled densely.
+matrix is ever materialized at full size, nor any row of A copied: a
+product Ybar w reads only the columns of A where w is nonzero and then
+makes one pass over A, and only |S| x |S| principal blocks are assembled
+densely. Every kernel reads a row- or column-major A; on a column-major
+one (``measure``'s) its column gathers are contiguous.
 
 Three initializers are provided:
 
@@ -122,8 +125,9 @@ def truncate(w, k: int) -> np.ndarray:
 
 
 def y_diag(e: Ensemble) -> np.ndarray:
-    """Diagonal of Y: out[j] = (1/m) sum_i y_i^2 A[i,j]^2, matrix-free."""
-    return (e.y * e.y) @ (e.A * e.A) / e.m
+    """Diagonal of Y: out[j] = (1/m) sum_i y_i^2 A[i,j]^2, matrix-free and
+    without an m x n temporary."""
+    return np.einsum("i,ij,ij->j", e.y * e.y, e.A, e.A) / e.m
 
 
 def y_column(e: Ensemble, j0: int) -> np.ndarray:
@@ -139,37 +143,35 @@ def diagonal_anchors(diag, b: int) -> np.ndarray:
     return _ranked(diag, b)
 
 
-def _in_band(e: Ensemble) -> np.ndarray:
-    return (e.y >= L_BAND * e.nu) & (e.y <= U_BAND * e.nu)
-
-
 def truncation_weights(e: Ensemble) -> np.ndarray:
     """Row weights y_i^2 gated to the band [L_BAND*nu, U_BAND*nu]."""
-    return np.where(_in_band(e), e.y * e.y, 0.0)
+    in_band = (e.y >= L_BAND * e.nu) & (e.y <= U_BAND * e.nu)
+    return np.where(in_band, e.y * e.y, 0.0)
 
 
 @dataclass(frozen=True)
 class YbarOperator:
-    """Ybar prepared for repeated products: a contiguous copy of the rows
-    of A inside the band and their weights y_i^2 / m."""
+    """Ybar prepared for repeated products: the ensemble's own A, not a
+    copy, and the row weights ``truncation_weights(e) / m``, which are
+    zero outside the band."""
 
-    rows: np.ndarray
+    A: np.ndarray
     weights: np.ndarray
 
 
 def ybar_operator(e: Ensemble) -> YbarOperator:
     """Prepare Ybar = (1/m) sum of y_i^2 a_i a_i^T over the in-band rows."""
-    keep = _in_band(e)
-    return YbarOperator(rows=e.A[keep], weights=e.y[keep] ** 2 / e.m)
+    return YbarOperator(A=e.A, weights=truncation_weights(e) / e.m)
 
 
 def ybar_matvec(op: YbarOperator, w) -> np.ndarray:
-    """Product Ybar w of a vector w, without materializing Ybar: two
-    products with the in-band rows."""
+    """Product Ybar w of a vector w, without materializing Ybar: A w from
+    the columns where w is nonzero, then one product with A^T."""
     w = np.asarray(w, dtype=float)
-    if w.shape != op.rows.shape[1:]:
+    if w.shape != op.A.shape[1:]:
         raise ValueError("vector length must match the signal dimension")
-    return op.rows.T @ (op.weights * (op.rows @ w))
+    nz = np.flatnonzero(w)
+    return op.A.T @ (op.weights * (op.A[:, nz] @ w[nz]))
 
 
 def restricted_ybar(e: Ensemble, support) -> np.ndarray:
@@ -209,14 +211,15 @@ def modified_spectral_init(e: Ensemble, s: int, *,
     |Y e_j0|, with j0 = ``anchor``, by default the first diagonal anchor.
 
     All-zero observations give a zero block, so the estimate is the
-    flagged zero with support 0..s-1.
+    flagged zero with support 0..s-1. Within a trial scope each (s, j0)
+    is computed once, for this method and for ``tp_init``'s start alike.
     """
     s = _sparsity(e, s)
     if anchor is None:
         anchor = diagonal_anchors(_once(e, "y_diag", lambda: y_diag(e)), 1)[0]
     j0 = int(anchor)
-    support = top_magnitude_indices(y_column(e, j0), s)
-    return _spectral_from_support(e, support, j0)
+    return _once(e, ("modspec", s, j0), lambda: _spectral_from_support(
+        e, top_magnitude_indices(y_column(e, j0), s), j0))
 
 
 def magnitude_misfit(e: Ensemble, xhat) -> float:

@@ -125,7 +125,9 @@ class Ensemble:
     go stale. A is copied only when it does not own its data (a view,
     whose base would stay writable); one that owns its data is frozen in
     place, without an m x n copy, so a view of it taken before
-    construction is the caller's to leave alone.
+    construction is the caller's to leave alone. A may be row- or
+    column-major, and every kernel reads either; the copies made here and
+    by ``from_measurements``, and ``measure``'s A, are column-major.
     """
 
     n: int
@@ -143,7 +145,7 @@ class Ensemble:
             raise ValueError("observations must be nonnegative")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.y))):
             raise ValueError("ensemble entries must be finite")
-        A = self.A if self.A.flags.owndata else self.A.copy()
+        A = self.A if self.A.flags.owndata else self.A.copy(order="F")
         y = np.array(self.y, dtype=float)
         for name, array in (("A", A), ("y", y)):
             array.flags.writeable = False
@@ -153,7 +155,7 @@ class Ensemble:
     @classmethod
     def from_measurements(cls, A, y) -> "Ensemble":
         """An ensemble of copies, so the caller's A and y stay writable."""
-        A = np.array(A, dtype=float)
+        A = np.array(A, dtype=float, order="F")
         y = np.asarray(y, dtype=float)  # __post_init__ copies y
         return cls(n=A.shape[1], m=A.shape[0], A=A, y=y)
 
@@ -174,11 +176,23 @@ def sample_signal(n: int, s: int, rng: np.random.Generator) -> SparseSignal:
     return SparseSignal(n=n, support=support, values=values)
 
 
+# rows per standard_normal call of ``measure``: a small row-major block
+_DRAW_ROWS = 128
+
+
 def measure(x: SparseSignal, m: int, rng: np.random.Generator) -> Ensemble:
-    """Draw m Gaussian sensing rows and record y_i = |<a_i, x>|."""
+    """Draw m Gaussian sensing rows and record y_i = |<a_i, x>|.
+
+    A is column-major, so the solvers' column gathers are contiguous. It
+    holds rng.standard_normal((m, n)) bit for bit, drawn _DRAW_ROWS rows
+    at a time, which leaves the generator where that one draw would.
+    """
     if m < 1:
         raise ValueError("need at least one measurement")
-    A = rng.standard_normal((m, x.n))
+    A = np.empty((m, x.n), order="F")
+    for i in range(0, m, _DRAW_ROWS):
+        A[i:i + _DRAW_ROWS] = rng.standard_normal((min(_DRAW_ROWS, m - i),
+                                                   x.n))
     y = np.abs(A[:, x.support] @ x.values)
     return Ensemble(n=x.n, m=m, A=A, y=y)
 

@@ -8,8 +8,9 @@ them, and keeps the candidate with the smallest gradient-norm residual
 nonnegative y this matches selecting on |y| .* sign(A x). Restart 1 is
 the ``tp`` solve; each later restart runs only if those before it fail.
 
-Inside a grid trial (``initializers._per_trial``) each TP restart and the
-diagonal of Y run once, so ``tp`` after ``tp_mr`` reuses restart 1.
+Inside a grid trial (``initializers._per_trial``) each TP restart, each
+modified-spectral start and the diagonal of Y run once, so ``tp`` after
+``tp_mr`` reuses restart 1, and ``modified_spectral`` reuses its start.
 """
 
 from __future__ import annotations

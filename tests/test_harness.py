@@ -558,6 +558,21 @@ class TestPerTrialSharing:
         assert len(harness._cell_task((grid, False, 4, 30, 0))) == 4
         assert len(calls) == 1
 
+    def test_modified_spectral_start_runs_once_in_a_trial(self,
+                                                          monkeypatch):
+        # tp's start is the modified-spectral estimate at the same anchor
+        calls = []
+        monkeypatch.setattr(initializers, "y_column",
+                            _counting(calls, initializers.y_column))
+        grid = _sharing_grid(("modified_spectral", "tp"))
+        records = harness._cell_task((grid, False, 4, 30, 0))
+        assert len(calls) == 1
+        assert records == [
+            sp.run_trial(40, 4, 30, r.method, r.trial_index, 1,
+                         sp.SolverConfigs(restarts=4), record_timing=False)
+            for r in records]
+        assert len(calls) == 3  # solved alone, each start is computed
+
     def test_nothing_is_kept_outside_a_cell(self, monkeypatch):
         rng = sp.trial_rng(3)
         x = sp.sample_signal(30, 3, rng)

@@ -205,8 +205,10 @@ class TestYbarMatvec:
             w = g.standard_normal(n)
             dense = dense_ybar(e.A, e.y, e.nu, 0.5, 10.0)
             op = sp.ybar_operator(e)
-            np.testing.assert_allclose(sp.ybar_matvec(op, w),
-                                       dense @ w, atol=1e-12)
+            # dense, and s'-sparse as TP's iterates are
+            for v in (w, sp.truncate(w, min(2 * s, n))):
+                np.testing.assert_allclose(sp.ybar_matvec(op, v),
+                                           dense @ v, atol=1e-12)
 
     def test_linear_in_w(self):
         g = sp.trial_rng(77)

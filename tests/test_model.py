@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 
 import sparsepr as sp
+from sparsepr import model
 from sparsepr.model import apply_sensing, sgn
 
 
@@ -148,6 +149,31 @@ class TestMeasure:
         a[0, 0], y[0] = 2.0, 0.0  # copies were frozen, not these
         assert e.A[0, 0] == 1.0 and e.y[0] == 3.0
         assert not (e.A.flags.writeable or e.y.flags.writeable)
+
+    @pytest.mark.parametrize("n, m", [
+        (1, 1), (1, 300), (5, 1), (200, 300),
+        (3, model._DRAW_ROWS), (7, 2 * model._DRAW_ROWS + 1)])
+    def test_measure_draws_the_generators_stream(self, n, m):
+        # column-major, yet bit for bit the single row-major draw, and the
+        # generator is left where that draw leaves it
+        x = sp.SparseSignal(n=n, support=np.arange(min(n, 3)),
+                            values=np.arange(1.0, min(n, 3) + 1))
+        rng, ref_rng = sp.trial_rng(9), sp.trial_rng(9)
+        e = sp.measure(x, m, rng)
+        ref = ref_rng.standard_normal((m, n))
+        assert e.A.flags.f_contiguous
+        assert np.array_equal(e.A, ref)
+        assert np.array_equal(e.y, np.abs(ref[:, x.support] @ x.values))
+        assert np.array_equal(rng.standard_normal(4),
+                              ref_rng.standard_normal(4))
+
+    def test_copies_of_a_are_column_major(self):
+        a = np.ones((4, 3))
+        copied = sp.Ensemble.from_measurements(a, np.ones(4))
+        view = sp.Ensemble(n=3, m=2, A=a[:2], y=np.ones(2))
+        assert copied.A.flags.f_contiguous and view.A.flags.f_contiguous
+        # an owning A stays in place, in its own layout
+        assert sp.Ensemble(n=3, m=4, A=a, y=np.ones(4)).A is a
 
     def test_nu_derived_not_passed(self):
         e = sp.Ensemble.from_measurements(np.ones((2, 3)), [3.0, 4.0])

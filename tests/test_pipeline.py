@@ -7,6 +7,7 @@ import pytest
 import sparsepr as sp
 from sparsepr import initializers, pipeline
 from sparsepr.initializers import y_diag
+from sparsepr.model import apply_sensing
 
 
 @pytest.fixture(scope="module")
@@ -285,6 +286,59 @@ class TestGradientResidual:
     def test_positive_for_bad_fit(self, solved_instance):
         x, e = solved_instance
         assert sp.gradient_residual(e, np.zeros(e.n)) > 0
+
+
+def _close(a, b):
+    # agreement to 1e-12 relative, in norm
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.linalg.norm(a - b) <= 1e-12 * max(np.linalg.norm(b), 1e-300)
+
+
+class TestLayout:
+    """Every kernel gives the same result on a row- and a column-major A,
+    up to the roundoff of a different summation order."""
+
+    @pytest.fixture(params=[(200, 10, 300, 0), (120, 6, 60, 1)])
+    def pair(self, request):
+        x, e = _instance(*request.param)
+        e_c = sp.Ensemble(n=e.n, m=e.m, A=np.ascontiguousarray(e.A), y=e.y)
+        e_f = sp.Ensemble.from_measurements(e_c.A, e.y)
+        assert e_c.A.flags.c_contiguous and e_f.A.flags.f_contiguous
+        return x, e_c, e_f
+
+    def test_kernels(self, pair):
+        x, e_c, e_f = pair
+        s, g = x.s, sp.trial_rng(5)
+        S = np.sort(g.choice(e_c.n, size=s, replace=False))
+        xs = np.zeros(e_c.n)
+        xs[S] = g.standard_normal(s)
+        for kernel in (lambda e: apply_sensing(e, xs),
+                       sp.y_diag,
+                       lambda e: sp.y_column(e, int(S[0])),
+                       lambda e: sp.restricted_ybar(e, S),
+                       lambda e: sp.restricted_least_squares(e.A, S, e.y)[0],
+                       lambda e: [sp.gradient_residual(e, xs)]):
+            assert _close(kernel(e_f), kernel(e_c))
+
+    def test_ybar_matvec(self, pair):
+        x, e_c, e_f = pair
+        w = sp.trial_rng(6).standard_normal(e_c.n)
+        for v in (w, sp.truncate(w, 2 * x.s)):
+            assert _close(sp.ybar_matvec(sp.ybar_operator(e_f), v),
+                          sp.ybar_matvec(sp.ybar_operator(e_c), v))
+        zero = np.zeros(e_c.n)
+        for e in (e_c, e_f):
+            assert not sp.ybar_matvec(sp.ybar_operator(e), zero).any()
+
+    def test_tp_and_htp(self, pair):
+        x, e_c, e_f = pair
+        tp_c, tp_f = sp.tp_init(e_c, x.s), sp.tp_init(e_f, x.s)
+        assert np.array_equal(tp_f.support, tp_c.support)
+        assert _close(tp_f.xhat, tp_c.xhat)
+        run_c = sp.htp_run(e_c, tp_c.xhat, x.s)
+        run_f = sp.htp_run(e_f, tp_c.xhat, x.s)
+        assert _close(run_f.x, run_c.x)
+        assert run_f.stop == run_c.stop
 
 
 class TestSolverConfigs:
