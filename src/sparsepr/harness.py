@@ -204,12 +204,10 @@ def solve(e: Ensemble, s: int, method: str,
     power method from ``configs.restarts`` anchors, the others run one
     initializer followed by HTP and take no settings. configs None means
     ``SolverConfigs()``. ConfigError, before any work, unless configs is
-    None or a SolverConfigs, the method is known, and s is an integer
-    (integral floats become ints) with 1 <= s <= min(n, m), which the
-    solver checks."""
+    None or a SolverConfigs, and, as the solver checks, the method is
+    known and s is an integer (integral floats become ints) with
+    1 <= s <= min(n, m)."""
     configs = _instance(configs, SolverConfigs, "configs")
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}")
     if method == "tp_mr":
         return solve_multi_restart(e, s, configs, truth=truth)
     return solve_two_stage(e, s, method, truth=truth)

