@@ -29,4 +29,4 @@ est = sp.tp_init(e, s)
 overlap = np.intersect1d(est.support, x.support).size
 print(f"\ntruncated-power support: {overlap}/{s} true indices, anchor "
       f"j0={est.j0} ({'on' if est.j0 in x.support else 'off'} support), "
-      f"{est.iterations_run} power steps")
+      f"{est.iterations_run} products with Ybar")

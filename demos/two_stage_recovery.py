@@ -18,7 +18,7 @@ xd = x.to_dense()
 
 est = sp.tp_init(e, s)
 print(f"init: dist to truth {sp.relative_error(est.xhat, xd):.3f} "
-      f"after {est.iterations_run} power steps")
+      f"after {est.iterations_run} products with Ybar")
 
 result = sp.htp_run(e, est.xhat, s)
 print(f"refinement: {result.iterations} iterations, "

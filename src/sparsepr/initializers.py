@@ -20,8 +20,11 @@ Three initializers are provided:
   top-s entries of |Y e_j0|.
 * ``tp_init``: modified-spectral start, at the same anchor, followed by
   truncated power iterations w_t = T_s'(Ybar w_{t-1}) / ||.|| on one
-  vector at s' = min(2 s, n), for at most T_MAX steps, then a final
-  projection back to s-sparse vectors.
+  vector at s' = min(2 s, n), for at most T_MAX products with Ybar, then
+  a final projection back to s-sparse vectors. Once the support of w_t
+  has held for SUPPORT_HOLD steps, the loop is finished by one
+  eigensolve: on a fixed support TP is the power method on the s' x s'
+  principal block, so the block's top eigenvector is its fixed point.
 
 Each returns nu times a unit s-sparse vector, so the output has norm nu.
 
@@ -46,6 +49,10 @@ L_BAND, U_BAND = 0.5, 10.0
 # 0.98 per step reaching the refinement basin of radius 0.125 from 200
 T_MAX = 366
 STEP_TOL = 1e-8       # TP stops once dist(w_t, w_{t-1}) is at most this
+# TP tries its eigensolve finish once supp(w_t) has equalled supp(w_{t-1})
+# for this many consecutive steps (after one, the finish can pass its
+# check where plain TP later moves the support and ends elsewhere)
+SUPPORT_HOLD = 2
 
 
 @dataclass(frozen=True)
@@ -53,8 +60,9 @@ class InitEstimate:
     """Initializer output: xhat = nu * (unit s-sparse direction).
 
     support holds the selected index set, j0 the anchor index (None when
-    the estimator has no anchor), iterations_run the number of truncated
-    power steps taken.
+    the estimator has no anchor), iterations_run the number of products
+    with Ybar that TP made, its finish's check included (0 for the
+    spectral initializers).
     """
 
     xhat: np.ndarray
@@ -229,24 +237,44 @@ def magnitude_misfit(e: Ensemble, xhat) -> float:
     return float(np.linalg.norm(e.y - np.abs(apply_sensing(e, xhat))))
 
 
+def _block_top_vector(e: Ensemble, support: np.ndarray,
+                      w: np.ndarray) -> np.ndarray | None:
+    """Top eigenvector of Ybar's block on ``support`` (the support of w),
+    lifted to length n with v.w >= 0; None for a degenerate block."""
+    eig = top_eigenvector(restricted_ybar(e, support))
+    if eig.degenerate:
+        return None
+    v = np.zeros(e.n)
+    v[support] = eig.vector if eig.vector @ w[support] >= 0 else -eig.vector
+    return v
+
+
 def tp_init(e: Ensemble, s: int, *,
             anchor: int | None = None) -> InitEstimate:
     """Truncated power method initializer.
 
     Starts from the modified-spectral direction anchored at ``anchor`` (by
-    default the first diagonal anchor) and runs up to T_MAX steps of
-    w_t = T_s'(Ybar w_{t-1}) with renormalization, at s' = min(2 s, n),
-    stopping early once the sign-invariant step is at most STEP_TOL. The
-    final iterate is projected back to the s-sparse set and rescaled to
-    norm nu.
+    default the first diagonal anchor) and iterates w_t = T_s'(Ybar w_{t-1})
+    with renormalization, at s' = min(2 s, n), stopping early once the
+    sign-invariant step is at most STEP_TOL. Once supp(w_t) has equalled
+    supp(w_{t-1}) for SUPPORT_HOLD consecutive steps, TP is the power
+    method on that support's block, so the loop tries to finish with the
+    block's top eigenvector v (sign matched to w_t): one more product
+    checks that T_s'(Ybar v) keeps the support, and then w = v. A failed
+    check, or a degenerate block, leaves the loop on w_t, and the finish
+    is tried again only on a different settled support. The loop makes
+    at most T_MAX products with Ybar, the checks included, and counts
+    them in ``iterations_run``; the check needs one product of budget
+    left. The final iterate is projected back to the s-sparse set and
+    rescaled to norm nu.
 
     The iterated estimate is kept only if it explains the observations at
     least as well as its start (phaseless misfit ||y - |A xhat|||_2, the
     same data-residual selection the multi-restart driver applies across
     restarts); at small sample sizes the iteration can drift off support,
     and the fallback then returns the modified-spectral estimate itself,
-    with the steps taken in ``iterations_run``. A degenerate start is
-    returned as it is, and a zero iterate at step t returns the start
+    with the products made in ``iterations_run``. A degenerate start is
+    returned as it is, and a zero iterate at product t returns the start
     flagged degenerate with ``iterations_run=t``.
     """
     s = _sparsity(e, s)
@@ -255,16 +283,33 @@ def tp_init(e: Ensemble, s: int, *,
         return seed
 
     op = ybar_operator(e)
+    s_prime = min(2 * s, e.n)
     w = seed.xhat / e.nu
-    t = 0  # steps taken, 0 when T_MAX is 0
-    for t in range(1, T_MAX + 1):
-        wt = truncate(ybar_matvec(op, w), min(2 * s, e.n))
+    support = tried = None  # supp(w_t); the support last tried to finish
+    held = 0                # steps for which supp(w_t) has held
+    t = 0                   # products with Ybar made
+    while t < T_MAX:
+        t += 1
+        wt = truncate(ybar_matvec(op, w), s_prime)
         nrm = np.linalg.norm(wt)
         if nrm == 0.0:
             return replace(seed, degenerate=True, iterations_run=t)
         w, w_prev = wt / nrm, w
         if dist(w, w_prev) <= STEP_TOL:
             break
+        # the start is s-sparse, so holding counts from w_1
+        prev, support = support, np.flatnonzero(w)
+        held = held + 1 if np.array_equal(support, prev) else 0
+        if (held >= SUPPORT_HOLD and t < T_MAX
+                and not np.array_equal(support, tried)):
+            tried, v = support, _block_top_vector(e, support, w)
+            if v is not None:
+                # TP's fixed point on the support when T_s' keeps it
+                t += 1
+                check = truncate(ybar_matvec(op, v), s_prime)
+                if np.array_equal(np.flatnonzero(check), support):
+                    w = v
+                    break
 
     keep = top_magnitude_indices(w, s)
     xs = truncate(w, s)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -454,7 +456,8 @@ class TestTpInit:
 
     def test_s_prime_validation(self, monkeypatch):
         # the power loop truncates to s' = min(2 s, n), which lies in
-        # [s, n] for every valid s, and the final projection to s
+        # [s, n] for every valid s, the finish's check product too, and
+        # the final projection to s
         rng = sp.trial_rng(61)
         x = sp.sample_signal(20, 3, rng)
         e = sp.measure(x, 50, rng)
@@ -494,27 +497,103 @@ FULL_LEVEL_CELLS = [(n, s, m) for n, s in ((16, 9), (30, 15))
                               12 * s * int(np.log(n)))]
 
 
+@pytest.fixture
+def tp_log(monkeypatch):
+    """Call log of tp_init's seams, in call order: ("mv", w) for each
+    product with Ybar, ("block", support) for each block assembled and
+    ("eig", result) for each eigensolve. Clear it before each call to be
+    read."""
+    log = []
+    real_mv, real_eig = initializers.ybar_matvec, initializers.top_eigenvector
+    real_block = initializers.restricted_ybar
+
+    def block(e, support):
+        log.append(("block", np.array(support)))
+        return real_block(e, support)
+
+    def mv(op, w):
+        log.append(("mv", np.array(w, dtype=float)))
+        return real_mv(op, w)
+
+    def eig(matrix):
+        result = real_eig(matrix)
+        log.append(("eig", result))
+        return result
+
+    monkeypatch.setattr(initializers, "ybar_matvec", mv)
+    monkeypatch.setattr(initializers, "top_eigenvector", eig)
+    monkeypatch.setattr(initializers, "restricted_ybar", block)
+    return log
+
+
+def finish_attempts(log):
+    """Positions of the eigensolves of TP's finish: those made after TP's
+    first product (the start's own eigensolve comes before it)."""
+    first = next((i for i, (kind, _) in enumerate(log) if kind == "mv"),
+                 len(log))
+    return [i for i, (kind, _) in enumerate(log)
+            if kind == "eig" and i > first]
+
+
+def finish_checks(log):
+    """(support S', input v) of each of the finish's check products."""
+    return [(log[i - 1][1], log[i + 1][1]) for i in finish_attempts(log)
+            if not log[i][1].degenerate]
+
+
+def check_passes(e, check, s_prime):
+    # the finish's check, on the unpatched product: T_s'(Ybar v) keeps
+    # exactly the support S'
+    support, v = check
+    u = sp.truncate(sp.ybar_matvec(sp.ybar_operator(e), v), s_prime)
+    return np.array_equal(np.flatnonzero(u), support)
+
+
+def tp_instance(n, s, m, seed=91, trial=0):
+    rng = sp.trial_rng(sp.derive_trial_seed(seed, n, s, m, trial))
+    x = sp.sample_signal(n, s, rng)
+    return x, sp.measure(x, m, rng)
+
+
 class TestTpRestarts:
-    def test_matches_single_vector_reference(self, tp_reference,
+    def test_matches_single_vector_reference(self, tp_reference, tp_log,
                                              monkeypatch):
+        # the reference is plain TP. Where the finish fires, TP ends on the
+        # fixed point that plain TP, given the full budget, stops up to
+        # STEP_TOL short of; elsewhere TP's iterates are plain TP's, with
+        # one product of budget spent on each failed check
         t_maxes = [0, 1, 5, initializers.T_MAX]
         fell_back = {True: 0, False: 0}
+        fired = 0
         for k, (n, s, m) in enumerate(TP_CELLS + FULL_LEVEL_CELLS):
-            # the reference reads the patched budget too
-            monkeypatch.setattr(initializers, "T_MAX", t_maxes[k % 4])
-            rng = sp.trial_rng(sp.derive_trial_seed(91, n, s, m, 0))
-            x = sp.sample_signal(n, s, rng)
-            e = sp.measure(x, m, rng)
+            t_max = t_maxes[k % 4]
+            x, e = tp_instance(n, s, m)
             for a in sp.diagonal_anchors(sp.y_diag(e), 4):
+                monkeypatch.setattr(initializers, "T_MAX", t_max)
+                tp_log.clear()
                 got = sp.tp_init(e, s, anchor=a)
+                checks = finish_checks(tp_log)
+                passed = bool(checks) and check_passes(e, checks[-1],
+                                                       min(2 * s, n))
+                fired += passed
+                # the reference reads the patched budget too
+                monkeypatch.setattr(initializers, "T_MAX",
+                                    t_maxes[-1] if passed
+                                    else t_max - len(checks))
                 want, candidate = tp_reference(e, s, anchor=a)
                 seed = sp.modified_spectral_init(e, s, anchor=a)
                 np.testing.assert_array_equal(got.support, want.support)
                 assert got.j0 == want.j0 == a
-                assert got.iterations_run == want.iterations_run
                 assert got.degenerate == want.degenerate
+                if passed:
+                    assert got.iterations_run <= want.iterations_run
+                    atol = 1e-7
+                else:
+                    assert (got.iterations_run
+                            == want.iterations_run + len(checks))
+                    atol = 1e-12
                 np.testing.assert_allclose(got.xhat, want.xhat, rtol=0,
-                                           atol=1e-12 * e.nu)
+                                           atol=atol * e.nu)
                 kept = want.xhat.tobytes() == seed.xhat.tobytes()
                 # where the TP candidate equals its start to roundoff the
                 # misfit comparison is a coin toss with no effect on xhat
@@ -522,6 +601,7 @@ class TestTpRestarts:
                     assert (got.xhat.tobytes() == seed.xhat.tobytes()) == kept
                     fell_back[kept] += 1
         assert fell_back[True] > 0 and fell_back[False] > 0
+        assert fired > 0
 
     def test_fallback_fires_and_not_when_undersampled(self):
         fired = set()
@@ -599,6 +679,92 @@ class TestTpRestarts:
             assert rep.chosen_restart == best[1]
             np.testing.assert_allclose(rep.x, best[2], rtol=0, atol=1e-12)
 
+
+class TestTpFinish:
+    def test_check_input_is_the_fixed_point(self, tp_log):
+        # a check that passes was made on TP's fixed point to roundoff, and
+        # it is TP's last product
+        fired = 0
+        for n, s, m in TP_CELLS + FULL_LEVEL_CELLS:
+            x, e = tp_instance(n, s, m)
+            for a in sp.diagonal_anchors(sp.y_diag(e), 4):
+                tp_log.clear()
+                sp.tp_init(e, s, anchor=a)
+                checks = finish_checks(tp_log)
+                for i, (support, v) in enumerate(checks):
+                    if not check_passes(e, (support, v), min(2 * s, n)):
+                        continue
+                    u = sp.truncate(sp.ybar_matvec(sp.ybar_operator(e), v),
+                                    min(2 * s, n))
+                    assert sp.dist(u / np.linalg.norm(u), v) <= 1e-12
+                    assert i == len(checks) - 1 and tp_log[-1][1] is v
+                    fired += 1
+        assert fired > 0
+
+    @pytest.mark.parametrize("t_max", range(6))
+    def test_budget_counts_every_product(self, t_max, tp_log, monkeypatch):
+        # iterations_run counts each product, the checks included, within
+        # T_MAX; the finish needs three products and one more to check
+        monkeypatch.setattr(initializers, "T_MAX", t_max)
+        attempts = 0
+        for n, s, m in TP_CELLS + FULL_LEVEL_CELLS:
+            x, e = tp_instance(n, s, m)
+            for a in sp.diagonal_anchors(sp.y_diag(e), 4):
+                tp_log.clear()
+                est = sp.tp_init(e, s, anchor=a)
+                products = sum(kind == "mv" for kind, _ in tp_log)
+                assert est.iterations_run == products <= t_max
+                attempts += len(finish_attempts(tp_log))
+        assert (attempts > 0) == (t_max >= 4)
+
+    def test_failed_check_continues_plain_tp(self, tp_reference, tp_log,
+                                             monkeypatch):
+        # an eigensolve that returns a coordinate vector on the support
+        # fails the check (where it passes, TP rightly stops on it), and TP
+        # goes on from its own iterate: the result is plain TP's, at one
+        # more product per failed check
+        logged_eig = initializers.top_eigenvector
+
+        def coordinate(matrix):
+            result = logged_eig(matrix)
+            if not any(kind == "mv" for kind, _ in tp_log):
+                return result   # the start's eigensolve
+            v = np.zeros(len(matrix))
+            v[0] = 1.0
+            return replace(result, vector=v)
+
+        monkeypatch.setattr(initializers, "top_eigenvector", coordinate)
+        failed = 0
+        for n, s, m in TP_CELLS + FULL_LEVEL_CELLS:
+            x, e = tp_instance(n, s, m)
+            for a in sp.diagonal_anchors(sp.y_diag(e), 4):
+                tp_log.clear()
+                want, _ = tp_reference(e, s, anchor=a)
+                tp_log.clear()
+                got = sp.tp_init(e, s, anchor=a)
+                checks = finish_checks(tp_log)
+                if checks and check_passes(e, checks[-1], min(2 * s, n)):
+                    continue
+                np.testing.assert_array_equal(got.support, want.support)
+                assert got.j0 == want.j0 and got.degenerate == want.degenerate
+                assert got.iterations_run == want.iterations_run + len(checks)
+                np.testing.assert_allclose(got.xhat, want.xhat, rtol=0,
+                                           atol=1e-12 * e.nu)
+                failed += len(checks)
+        assert failed > 0
+
+    @pytest.mark.parametrize("s, m", [(5, 100), (5, 400), (10, 200),
+                                      (10, 800), (20, 200), (20, 400)])
+    def test_htp_output_matches_plain_tp(self, tp_reference, s, m):
+        # the finish moves TP's estimate by roundoff only, so HTP from it
+        # returns plain TP's refined x bit for bit, in as many steps
+        n = 200
+        for t in range(8):
+            x, e = tp_instance(n, s, m, seed=11, trial=t)
+            got = sp.htp_run(e, sp.tp_init(e, s).xhat, s)
+            want = sp.htp_run(e, tp_reference(e, s)[0].xhat, s)
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.iterations == want.iterations
 
 class TestMagnitudeMisfit:
     def test_zero_estimate_misfit_is_y_norm(self):
