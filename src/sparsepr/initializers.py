@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import top_eigenvector
+from .linalg import checked_support, top_eigenvector
 from .model import ConfigError, Ensemble, _integer, apply_sensing, dist
 
 # truncation band [L_BAND*nu, U_BAND*nu] of Ybar (the worked constants)
@@ -107,13 +107,26 @@ def _sparsity(e: Ensemble, s) -> int:
 
 def _ranked(values, k: int) -> np.ndarray:
     """Indices of the k largest entries of a vector, largest first, ties to
-    the smaller index: the one ranking rule of every selection here."""
+    the smaller index: the one ranking rule of every selection here.
+
+    The result is ``np.argsort(-values, kind="stable")[:k]`` (NaN ranks
+    last), found without the full sort: ``np.partition`` finds the k-th
+    value c, and only the indices whose value is at least c, ties at the
+    cut included, are stable-sorted. A NaN at the cut falls back to the
+    full sort.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError("values must be a vector")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return np.argsort(-values, kind="stable")[:k]
+    neg = -values
+    if 0 < k < neg.size:
+        cut = np.partition(neg, k - 1)[k - 1]
+        if not np.isnan(cut):
+            keep = np.flatnonzero(neg <= cut)  # ascending: ties stay in order
+            return keep[np.argsort(neg[keep], kind="stable")[:k]]
+    return np.argsort(neg, kind="stable")[:k]
 
 
 def top_magnitude_indices(values, k: int) -> np.ndarray:
@@ -132,10 +145,19 @@ def truncate(w, k: int) -> np.ndarray:
     return out
 
 
+# columns per block of ``y_diag``: an m x _DIAG_COLS temporary
+_DIAG_COLS = 32
+
+
 def y_diag(e: Ensemble) -> np.ndarray:
-    """Diagonal of Y: out[j] = (1/m) sum_i y_i^2 A[i,j]^2, matrix-free and
-    without an m x n temporary."""
-    return np.einsum("i,ij,ij->j", e.y * e.y, e.A, e.A) / e.m
+    """Diagonal of Y: out[j] = (1/m) sum_i y_i^2 A[i,j]^2, matrix-free:
+    one BLAS product (A[:, blk]^2)^T y^2 per block of _DIAG_COLS columns,
+    so no m x n temporary is made."""
+    y2 = e.y * e.y
+    out = np.empty(e.n)
+    for j in range(0, e.n, _DIAG_COLS):
+        out[j:j + _DIAG_COLS] = np.square(e.A[:, j:j + _DIAG_COLS]).T @ y2
+    return out / e.m
 
 
 def y_column(e: Ensemble, j0: int) -> np.ndarray:
@@ -186,10 +208,13 @@ def ybar_matvec(op: YbarOperator, w) -> np.ndarray:
 def restricted_ybar(e: Ensemble, support) -> np.ndarray:
     """The |S| x |S| principal block of Ybar, assembled in O(m |S|^2).
 
+    ``support`` is checked by ``linalg.checked_support`` (ValueError) and
+    must be nonempty.
+
     Symmetric only up to roundoff; ``top_eigenvector`` averages it with
     its transpose.
     """
-    support = np.asarray(support, dtype=np.intp)
+    support = checked_support(support, e.n)
     if support.size < 1:
         raise ValueError("support must be nonempty")
     weights = truncation_weights(e)

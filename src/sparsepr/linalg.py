@@ -1,7 +1,8 @@
 """Dense symmetric eigen-kernel and support-restricted least squares.
 
 Everything else in the package works matrix-free; the two dense kernels
-live here. Both hand a small |S| x |S| matrix to ``numpy.linalg``: a
+live here, with the support check that every support-restricted kernel
+shares. Both hand a small |S| x |S| matrix to ``numpy.linalg``: a
 symmetric eigensolve for the top eigenpair and a Cholesky solve for
 least squares. Both are deterministic functions of their inputs, and
 the eigenvector sign is pinned so repeated runs agree bitwise.
@@ -75,6 +76,33 @@ def top_eigenvector(matrix) -> TopEigResult:
                         False, 0)
 
 
+def checked_support(support, n: int) -> np.ndarray:
+    """``support`` as a 1-d intp array of distinct column indices in
+    [0, n), in the order given.
+
+    A bool mask, a non-integral or non-finite value, an index outside
+    [0, n) (a negative one would wrap) and a repeated index each raise
+    ValueError; an integral float is taken as its integer. The checks
+    cost O(|support|) on a strictly increasing support, the kind every
+    solver stage passes; any other order pays one sort to find repeats.
+    """
+    raw = np.asarray(support).ravel()
+    if raw.dtype == bool:
+        raise ValueError("support must hold indices, not a mask")
+    if raw.size == 0:
+        return np.empty(0, dtype=np.intp)
+    kind = raw.dtype.kind
+    # NaN fails the integral test; +-inf passes it and fails the range
+    if kind not in "iuf" or (kind == "f" and not np.all(raw == np.trunc(raw))):
+        raise ValueError("support indices must be integers")
+    if raw.min() < 0 or raw.max() >= n:
+        raise ValueError("support index out of range")
+    idx = raw.astype(np.intp)
+    if not np.all(idx[1:] > idx[:-1]) and np.unique(idx).size != idx.size:
+        raise ValueError("support indices must be distinct")
+    return idx
+
+
 _RIDGE_SCALE = 1e-12
 
 
@@ -86,7 +114,7 @@ def restricted_least_squares(A, support, b):
     and z comes from solves with L and then L^T (|support| is small, so the
     squared conditioning is acceptable). A rank-deficient Gram matrix
     falls back to a ridge of ``1e-12 * trace / |support|`` and flags
-    the result.
+    the result. ``support`` is checked by ``checked_support``.
 
     Returns:
         (x, ridged): x is a length-n vector, zero off the support; ridged
@@ -99,15 +127,11 @@ def restricted_least_squares(A, support, b):
     m, n = A.shape
     if b.shape != (m,):
         raise ValueError("b length must match the number of rows of A")
-    support = np.asarray(support, dtype=np.intp).ravel()
+    support = checked_support(support, n)
     if support.size == 0:
         return np.zeros(n), False
     if support.size > m:
         raise ValueError("support larger than the number of equations")
-    if np.unique(support).size != support.size:
-        raise ValueError("support indices must be distinct")
-    if support.min() < 0 or support.max() >= n:
-        raise ValueError("support index out of range")
 
     As = A[:, support]
     gram = As.T @ As

@@ -117,12 +117,19 @@ class SparseSignal:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Sensing matrix A (m x n), magnitude observations y, derived nu.
+    """Sensing matrix A (m x n), magnitude observations y, and two values
+    derived once at construction.
 
-    nu = sqrt(mean(y^2)) estimates ||x||_2 and is computed once from y at
-    construction, which then marks A and y read-only, so an ensemble can
-    be shared across threads. y is always copied (m values), so nu cannot
-    go stale. A is copied only when it does not own its data (a view,
+    nu = sqrt(mean(y^2)) estimates ||x||_2. ``col_norm_bound`` is an
+    upper bound M on every column norm ||A[:, j]||_2, the square root of
+    the largest squared column norm raised by that sum's worst rounding
+    error; HTP's support certificate reads it. The squared norms come
+    from the one pass over A that also proves its entries finite: a NaN
+    or infinite entry leaves its column's sum non-finite. A finite A
+    whose squares overflow is accepted, with an infinite bound.
+    Construction marks A and y read-only, so an ensemble can be shared
+    across threads, and neither value can go stale. y is always copied
+    (m values). A is copied only when it does not own its data (a view,
     whose base would stay writable); one that owns its data is frozen in
     place, without an m x n copy, so a view of it taken before
     construction is the caller's to leave alone. A may be row- or
@@ -135,6 +142,7 @@ class Ensemble:
     A: np.ndarray
     y: np.ndarray
     nu: float = field(init=False)
+    col_norm_bound: float = field(init=False)
 
     def __post_init__(self):
         if self.A.shape != (self.m, self.n):
@@ -143,7 +151,11 @@ class Ensemble:
             raise ValueError("y length does not match m")
         if np.any(self.y < 0):
             raise ValueError("observations must be nonnegative")
-        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.y))):
+        col_sq = np.einsum("ij,ij->j", self.A, self.A)
+        # a finite sum proves its column finite; a non-finite one is an
+        # overflowed square only if every entry is finite
+        if not ((np.all(np.isfinite(col_sq)) or np.all(np.isfinite(self.A)))
+                and np.all(np.isfinite(self.y))):
             raise ValueError("ensemble entries must be finite")
         A = self.A if self.A.flags.owndata else self.A.copy(order="F")
         y = np.array(self.y, dtype=float)
@@ -151,6 +163,11 @@ class Ensemble:
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         object.__setattr__(self, "nu", norm_estimate(y))
+        # a sum of m squares is off by at most about (m + 1)/2 units of
+        # roundoff; twice that also covers the product and the root
+        slack = 1.0 + (self.m + 1) * np.finfo(float).eps
+        object.__setattr__(self, "col_norm_bound", float(np.sqrt(
+            col_sq.max(initial=0.0) * slack)))
 
     @classmethod
     def from_measurements(cls, A, y) -> "Ensemble":

@@ -13,6 +13,18 @@ problem exactly on that support:
 The step size is mu = MU = 0.95; the 1/m factor keeps it meaningful for
 unnormalized Gaussian sensing rows, where A^T A / m is close to the
 identity. sgn(0) is defined as +1 so the iteration is deterministic.
+
+Near convergence the support stops moving, and a bound can then prove
+which support the pass A^T r would pick without making it. With
+S = supp(x_k) of exactly s entries, r = y .* sgn(z) - z and
+M >= max_j ||A[:, j]||_2 (``Ensemble.col_norm_bound``), every |g_j| off S
+is at most (mu/m) M ||r|| and every |g_j| on S at least
+|x_j| - (mu/m) M ||r||. So when
+
+    min_S |x_j| > 2 (1 + CERT_SLACK) (mu/m) M ||r||
+
+the selection is S, and the step solves on S directly; its x is the one
+the full pass gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +45,12 @@ MU = 0.95  # gradient step size, 0 < MU < 2
 # ||A x - y .* sgn(A x)|| / ||y|| is at most RESIDUAL_TOL
 RESIDUAL_TOL = 1e-12
 SUPPORT_STALL = 2
+
+# relative slack of the support certificate over the exact bound, far
+# above the rounding of a dot product of length m, which is at most
+# about m/2 units of roundoff times ||a|| ||r|| (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2002, section 3.1)
+CERT_SLACK = 0.01
 
 # why htp_run stopped: the convergence rule fired, a step returned its
 # input bit for bit without converging, or max_iters ran out
@@ -77,14 +95,27 @@ class RefineResult:
 
 
 def htp_step(e: Ensemble, x_k, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """One HTP step; returns (x_next, selected support, sorted)."""
+    """One HTP step; returns (x_next, selected support, sorted).
+
+    When x_k has exactly s nonzeros and the support certificate (see the
+    module docstring) holds, the selection is supp(x_k) and the pass
+    A^T r is skipped; the result is the same bit for bit. A NaN or
+    infinite bound never certifies.
+    """
     x_k = np.asarray(x_k, dtype=float)
-    if np.count_nonzero(x_k) > s:
+    nz = np.flatnonzero(x_k)
+    if nz.size > s:
         raise ValueError("iterate must be s-sparse")
     z = apply_sensing(e, x_k)
     b = e.y * sgn(z)
-    g = x_k + (MU / e.m) * (e.A.T @ (b - z))
-    support = top_magnitude_indices(g, s)
+    r = b - z
+    if nz.size == s and np.min(np.abs(x_k[nz]), initial=np.inf) > (
+            2.0 * (1.0 + CERT_SLACK) * (MU / e.m) * e.col_norm_bound
+            * np.linalg.norm(r)):
+        support = nz
+    else:
+        g = x_k + (MU / e.m) * (e.A.T @ r)
+        support = top_magnitude_indices(g, s)
     x_next, _ = restricted_least_squares(e.A, support, b)
     return x_next, support
 

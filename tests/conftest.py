@@ -32,9 +32,30 @@ def dense_ybar():
     return dense_truncated_y
 
 
-def reference_htp_run(e, x0, s, cfg=None):
-    """HTP without the fixed-point exit: max_iters steps unless the
-    support-stall and residual rule fires first."""
+def reference_htp_step(e, x_k, s):
+    """One HTP step that always forms g = x_k + (mu/m) A^T r and selects
+    the top s of |g|, never taking the support certificate."""
+    x_k = np.asarray(x_k, dtype=float)
+    if np.count_nonzero(x_k) > s:
+        raise ValueError("iterate must be s-sparse")
+    z = apply_sensing(e, x_k)
+    b = e.y * sgn(z)
+    g = x_k + (refine.MU / e.m) * (e.A.T @ (b - z))
+    support = initializers.top_magnitude_indices(g, s)
+    x_next, _ = sp.restricted_least_squares(e.A, support, b)
+    return x_next, support
+
+
+@pytest.fixture
+def htp_step_reference():
+    return reference_htp_step
+
+
+def reference_htp_run(e, x0, s, cfg=None, *, step=reference_htp_step):
+    """HTP without the fixed-point exit: max_iters steps of ``step``
+    unless the support-stall and residual rule fires first. The default
+    step, ``reference_htp_step``, never takes the support certificate;
+    a test that stubs ``refine.htp_step`` passes its stub here too."""
     cfg = cfg or sp.HtpConfig()
     x = np.asarray(x0, dtype=float).copy()
     y_norm = float(np.linalg.norm(e.y))
@@ -43,7 +64,7 @@ def reference_htp_run(e, x0, s, cfg=None):
     streak = 0
     stop = "cap"
     for _ in range(cfg.max_iters):
-        x, support = refine.htp_step(e, x, s)
+        x, support = step(e, x, s)
         z = apply_sensing(e, x)
         res = float(np.linalg.norm(z - e.y * sgn(z)))
         rel = res / y_norm if y_norm > 0 else res

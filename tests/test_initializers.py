@@ -274,6 +274,16 @@ class TestRestrictedYbar:
         with pytest.raises(ValueError):
             sp.restricted_ybar(e, np.array([], dtype=int))
 
+    # each used to give a 2 x 2 block silently (cast, mask read as
+    # indices, wrapped or repeated index), or an IndexError at n = 10
+    @pytest.mark.parametrize("support", [[0.9, 2.2], [True, True], [-1, 3],
+                                         [3, 3], [0, 12]])
+    def test_bad_support_rejected(self, support):
+        g = sp.trial_rng(67)
+        e = sp.measure(sp.sample_signal(10, 2, g), 30, g)
+        with pytest.raises(ValueError):
+            sp.restricted_ybar(e, support)
+
 
 class TestExpectationIdentity:
     def test_dense_truncated_matrix_matches_moments(self, dense_ybar):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from sparsepr.linalg import restricted_least_squares, top_eigenvector
+from sparsepr import linalg
+from sparsepr.linalg import (checked_support, restricted_least_squares,
+                             top_eigenvector)
 
 
 def rayleigh_oracle(M, samples=10**6, seed=0):
@@ -182,3 +184,51 @@ class TestRestrictedLeastSquares:
             restricted_least_squares(A, [5], np.ones(3))
         with pytest.raises(ValueError):
             restricted_least_squares(np.ones((1, 3)), [0, 1], np.ones(1))
+
+
+class TestCheckedSupport:
+    # one check for both support-restricted kernels: each bad support
+    # raises ValueError instead of being cast, wrapped or solved on
+    @pytest.mark.parametrize("support", [[0.5, 1.7], [0.9, 2.2]])
+    def test_lstsq_refuses_fractional_indices(self, support):
+        with pytest.raises(ValueError, match="integers"):
+            restricted_least_squares(np.eye(3), support, np.ones(3))
+
+    def test_lstsq_refuses_bool_mask(self):
+        # [False, True] used to be read as the indices [0, 1]
+        with pytest.raises(ValueError, match="mask"):
+            restricted_least_squares(np.eye(3), np.array([False, True]),
+                                     np.ones(3))
+
+    @pytest.mark.parametrize("support", [[-1], [0, 3], [float("nan")],
+                                         [float("inf")], [1e300]])
+    def test_refuses_out_of_range_and_nonfinite(self, support):
+        with pytest.raises(ValueError):
+            checked_support(support, 3)
+
+    def test_refuses_repeat_in_any_order(self):
+        for support in ([2, 2], [2, 0, 2], [0, 1, 1]):
+            with pytest.raises(ValueError, match="distinct"):
+                checked_support(support, 3)
+
+    def test_refuses_non_numeric(self):
+        with pytest.raises(ValueError):
+            checked_support(["a"], 3)
+
+    def test_keeps_order_and_takes_integral_floats(self):
+        got = checked_support([2.0, 0.0], 3)
+        assert got.dtype == np.intp
+        assert got.tolist() == [2, 0]
+        assert checked_support(np.array([[1], [2]], dtype=np.int32),
+                               3).tolist() == [1, 2]
+        assert checked_support([], 3).size == 0
+
+    def test_increasing_support_skips_the_sort(self, monkeypatch):
+        # the supports HTP and TP pass are strictly increasing; those are
+        # checked in one pass, without np.unique
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique on an increasing support")
+
+        monkeypatch.setattr(linalg.np, "unique", no_unique)
+        assert checked_support(np.arange(0, 40, 3), 40).tolist() == list(
+            range(0, 40, 3))

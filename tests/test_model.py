@@ -180,6 +180,59 @@ class TestMeasure:
         assert e.nu == sp.norm_estimate([3.0, 4.0])
         with pytest.raises(TypeError):
             sp.Ensemble(n=3, m=2, A=e.A, y=e.y, nu=1.0)
+        with pytest.raises(TypeError):
+            sp.Ensemble(n=3, m=2, A=e.A, y=e.y, col_norm_bound=1.0)
+
+
+def _column_norms(A):
+    # each column's norm from a correctly rounded sum, apart from the
+    # squares and the root: independent of the einsum that builds M
+    return [math.sqrt(math.fsum(v * v for v in col)) for col in A.T]
+
+
+class TestEnsembleChecks:
+    # the finiteness check and the column-norm bound share one pass over A
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_a_refused(self, order, bad):
+        A = np.ones((4, 3), order=order)
+        A[2, 1] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            sp.Ensemble(n=3, m=4, A=A, y=np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_y_refused(self, bad):
+        y = np.ones(4)
+        y[3] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            sp.Ensemble(n=3, m=4, A=np.ones((4, 3)), y=y)
+
+    def test_overflowing_squares_accepted_with_infinite_bound(self):
+        # 1e200 is finite, its square is not: the entries are still checked
+        A = np.ones((4, 3), order="F")
+        A[1, 2] = 1e200
+        e = sp.Ensemble(n=3, m=4, A=A, y=np.ones(4))
+        assert e.col_norm_bound == math.inf
+
+    @pytest.mark.parametrize("source", ["measure", "from_measurements",
+                                        "load_instance"])
+    def test_bound_covers_every_column_norm(self, source, tmp_path):
+        rng = sp.trial_rng(12)
+        x = sp.sample_signal(40, 4, rng)
+        e = sp.measure(x, 300, rng)
+        if source == "from_measurements":
+            # row-major rows with very unequal scales
+            scales = np.geomspace(1e-3, 1e3, e.m)[:, None]
+            e = sp.Ensemble.from_measurements(
+                np.ascontiguousarray(e.A * scales), e.y)
+        elif source == "load_instance":
+            path = tmp_path / "inst.spr1"
+            sp.save_instance(path, x, e)
+            e, _ = sp.load_instance(path)
+        norms = _column_norms(e.A)
+        assert all(e.col_norm_bound >= v for v in norms)
+        np.testing.assert_allclose(e.col_norm_bound, max(norms), rtol=1e-12)
 
 
 class TestApplySensing:

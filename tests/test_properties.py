@@ -27,7 +27,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sparsepr import (cli, diagonal_anchors, harness,  # noqa: E402
                       truncate)
 from sparsepr.harness import ConfigError, grid_from_dict  # noqa: E402
-from sparsepr.initializers import top_magnitude_indices  # noqa: E402
+from sparsepr.initializers import (_ranked,  # noqa: E402
+                                   top_magnitude_indices)
 from sparsepr.instance_io import (InstanceFormatError,  # noqa: E402
                                   _parse_floats, load_instance)
 
@@ -312,3 +313,25 @@ def test_diagonal_anchors_is_the_sort_rule(case):
     values, k = case
     assert diagonal_anchors(values, k).tolist() == _sort_rule(values, k)
     assert diagonal_anchors(values, 1)[0] == np.argmax(values)
+
+
+@st.composite
+def special_value_vectors(draw):
+    """(values, k): ties, signed zeros, infinities and NaNs, with k from 0
+    to n + 2."""
+    n = draw(st.integers(0, 16))
+    values = draw(st.lists(st.sampled_from(
+        [-np.inf, -2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, np.inf, np.nan]),
+        min_size=n, max_size=n))
+    return np.array(values, dtype=float), draw(st.integers(0, n + 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(special_value_vectors())
+def test_partition_ranking_is_the_stable_sort(case):
+    # the partition shortcut keeps exactly the full sort's first k
+    values, k = case
+    want = np.argsort(-values, kind="stable")[:k]
+    got = _ranked(values, k)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()

@@ -1,11 +1,13 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sparsepr as sp
 from sparsepr import refine
-from sparsepr.model import ConfigError
+from sparsepr.model import ConfigError, apply_sensing, sgn
 from sparsepr.refine import SUPPORT_STALL
 
 
@@ -177,11 +179,13 @@ class TestFixedPointExit:
         rng = sp.trial_rng(81)
         x = sp.sample_signal(30, 3, rng)
         e = sp.measure(x, 60, rng)
-        monkeypatch.setattr(refine, "htp_step",
-                            lambda e, x, s: (x, np.flatnonzero(x)))
+        def identity(e, x, s):
+            return x, np.flatnonzero(x)
+
+        monkeypatch.setattr(refine, "htp_step", identity)
         cfg = sp.HtpConfig(max_iters=max_iters)
         res = sp.htp_run(e, x.to_dense(), 3, cfg)
-        ref = htp_reference(e, x.to_dense(), 3, cfg)
+        ref = htp_reference(e, x.to_dense(), 3, cfg, step=identity)
         assert res.final_residual <= refine.RESIDUAL_TOL
         assert (res.stop, res.iterations) == (stop, 1)
         assert res.converged == ref.converged == converged
@@ -283,7 +287,7 @@ class TestTwoCycles:
         monkeypatch.setattr(refine, "htp_step", swap)
         cfg = sp.HtpConfig(max_iters=max_iters)
         res = sp.htp_run(e, np.zeros(30), 3, cfg)
-        ref = htp_reference(e, np.zeros(30), 3, cfg)
+        ref = htp_reference(e, np.zeros(30), 3, cfg, step=swap)
         # a, b, a, ...: step 7 lands on a, step 8 on b
         _assert_runs_to_the_cap(res, ref, max_iters)
         assert res.x.tobytes() == (a if max_iters % 2 else b).tobytes()
@@ -306,7 +310,132 @@ class TestTwoCycles:
         monkeypatch.setattr(refine, "htp_step", swap)
         cfg = sp.HtpConfig(max_iters=9)
         res = sp.htp_run(e, np.zeros(30), 3, cfg)
-        ref = htp_reference(e, np.zeros(30), 3, cfg)
+        ref = htp_reference(e, np.zeros(30), 3, cfg, step=swap)
         assert (res.stop, res.iterations) == ("cap", 9)
         assert res.x.tobytes() == ref.x.tobytes() == truth.tobytes()
         assert not res.converged and not ref.converged
+
+
+_N200 = json.loads((Path(__file__).resolve().parent.parent / "behaviour"
+                    / "n200.json").read_text())
+# (n, s, m, trials, grid seed): the behaviour grid's n=200 cells and two
+# n=1000 cells, one where every solve recovers and one near the edge
+CERT_CELLS = ([(_N200["n"], s, m, _N200["trials"], _N200["seed"])
+               for s in _N200["s_list"] for m in _N200["m_list"]]
+              + [(1000, 25, 1500, 2, 11), (1000, 35, 800, 2, 11)])
+
+
+@pytest.fixture
+def full_passes(monkeypatch):
+    """Counts the steps that select by the full pass A^T r: the
+    certificate skips refine.top_magnitude_indices."""
+    calls = []
+    real = refine.top_magnitude_indices
+
+    def spy(values, k):
+        calls.append(k)
+        return real(values, k)
+
+    monkeypatch.setattr(refine, "top_magnitude_indices", spy)
+    return calls
+
+
+def _certificate_margin(e, x_k):
+    # min_S |x_j| minus the certificate's threshold, as htp_step forms it
+    nz = np.flatnonzero(x_k)
+    z = apply_sensing(e, x_k)
+    r = e.y * sgn(z) - z
+    return np.min(np.abs(x_k[nz])) - (
+        2.0 * (1.0 + refine.CERT_SLACK) * (refine.MU / e.m)
+        * e.col_norm_bound * np.linalg.norm(r))
+
+
+class TestSupportCertificate:
+    def test_certified_steps_equal_full_steps(self, full_passes,
+                                              htp_step_reference):
+        # every step of HTP runs from spectral and TP starts, checked
+        # against the step that always makes the pass
+        steps = certified = 0
+        for n, s, m, trials, seed in CERT_CELLS:
+            for t in range(trials):
+                rng = sp.trial_rng(sp.derive_trial_seed(seed, n, s, m, t))
+                x = sp.sample_signal(n, s, rng)
+                e = sp.measure(x, m, rng)
+                for init in (sp.spectral_init, sp.tp_init):
+                    x_k = init(e, s).xhat
+                    for _ in range(40):
+                        want, want_support = htp_step_reference(e, x_k, s)
+                        before = len(full_passes)
+                        got, got_support = refine.htp_step(e, x_k, s)
+                        steps += 1
+                        certified += len(full_passes) == before
+                        assert got.tobytes() == want.tobytes()
+                        assert got_support.tobytes() == want_support.tobytes()
+                        if want.tobytes() == x_k.tobytes():
+                            break
+                        x_k = want
+        assert 0 < certified < steps
+
+    def test_threshold_boundary(self, full_passes, htp_step_reference):
+        # shrink the smallest entry of the truth until min_S |x_j| meets
+        # the threshold, which grows with ||r||: just below it the pass
+        # runs, just above it the step is certified
+        rng = sp.trial_rng(sp.derive_trial_seed(11, 200, 5, 400, 0))
+        x = sp.sample_signal(200, 5, rng)
+        e = sp.measure(x, 400, rng)
+        j = x.support[np.argmin(np.abs(x.values))]
+        truth = x.to_dense()
+
+        def shrunk(scale):
+            x_k = truth.copy()
+            x_k[j] *= scale
+            return x_k
+
+        lo, hi = 1e-3, 1.0
+        assert _certificate_margin(e, shrunk(lo)) < 0
+        assert _certificate_margin(e, shrunk(hi)) > 0
+        while hi - lo > 1e-9:
+            mid = 0.5 * (lo + hi)
+            if _certificate_margin(e, shrunk(mid)) > 0:
+                hi = mid
+            else:
+                lo = mid
+        for scale, passes in ((lo, 1), (hi, 0)):
+            x_k = shrunk(scale)
+            before = len(full_passes)
+            got, got_support = refine.htp_step(e, x_k, 5)
+            assert len(full_passes) - before == passes
+            want, want_support = htp_step_reference(e, x_k, 5)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(got_support, want_support)
+
+    def test_fewer_than_s_nonzeros_never_certified(self, full_passes):
+        rng = sp.trial_rng(85)
+        x = sp.sample_signal(40, 4, rng)
+        e = sp.measure(x, 200, rng)
+        sp.htp_step(e, x.to_dense(), 5)
+        assert len(full_passes) == 1
+
+    def test_infinite_bound_never_certifies(self, full_passes):
+        # an entry of 1e200 overflows its column's squared norm, so M is
+        # infinite; it sits in a row where r is 0, so HTP still runs as
+        # usual, and at the truth r = 0 makes the bound inf * 0 = NaN
+        rng = sp.trial_rng(86)
+        x = sp.sample_signal(40, 4, rng)
+        A = np.asfortranarray(rng.standard_normal((200, 40)))
+        A[0, x.support] = 0.0
+        off = np.setdiff1d(np.arange(40), x.support)[0]
+        runs = {}
+        for big in (1.0, 1e200):
+            A[0, off] = big
+            e = sp.Ensemble.from_measurements(A, np.abs(A @ x.to_dense()))
+            before = len(full_passes)
+            steps = sp.htp_run(e, perturbed_start(x, 0.2, sp.trial_rng(2)),
+                               4).iterations
+            sp.htp_step(e, x.to_dense(), 4)
+            runs[big] = (e.col_norm_bound, steps + 1,
+                         len(full_passes) - before)
+        bound, steps, passes = runs[1e200]
+        assert bound == np.inf and passes == steps
+        bound, steps, passes = runs[1.0]
+        assert np.isfinite(bound) and passes < steps
