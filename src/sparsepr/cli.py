@@ -6,25 +6,21 @@ Subcommands:
     solve    recover a signal from an SPR1 instance file
     moments  print the truncated second/fourth Gaussian moments
 
-Exit codes: 0 success, 2 parse/config error, 3 I/O error. The default
-worker count for ``grid`` comes from the SPARSEPR_THREADS environment
-variable (the --threads flag overrides it). ``trial`` and ``solve``
-take ``pipeline.METHODS`` and the aliases ``modspec`` and ``tpmr``.
+Exit codes: 0 success, 2 parse/config error, 3 I/O error. ``grid``
+runs on ``--threads`` workers (default 1). ``trial`` and ``solve`` take
+``pipeline.METHODS`` and the aliases ``modspec`` and ``tpmr``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 
 from . import harness, instance_io
 from .model import _real, truncated_gaussian_moment
 from .pipeline import METHODS, SolverConfigs
-
-THREADS_ENV = "SPARSEPR_THREADS"
 
 _METHOD_ALIASES = {"modspec": "modified_spectral", "tpmr": "tp_mr"}
 # argparse checks the resolved name against the choices, so handlers see
@@ -51,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     grid = sub.add_parser("grid", help="run an experiment grid")
     grid.add_argument("--config", required=True, help="grid config JSON path")
-    grid.add_argument("--threads", type=int, default=None)
+    grid.add_argument("--threads", type=int, default=1)
     grid.add_argument("--out", default="results.csv", help="CSV output path")
     grid.add_argument("--no-timing", action="store_true",
                       help="record elapsed_ms as 0 (byte-reproducible CSV)")
@@ -77,19 +73,6 @@ def _cmd_trial(args) -> int:
     return 0
 
 
-def _resolve_threads(flag_value) -> int:
-    # checked before --out is opened, so a refused count leaves no file
-    threads = flag_value
-    if threads is None:
-        try:
-            threads = int(os.environ.get(THREADS_ENV, "1"))
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer") from None
-    if threads < 1:
-        raise ValueError("the worker count must be positive")
-    return threads
-
-
 def _cmd_grid(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
@@ -97,11 +80,13 @@ def _cmd_grid(args) -> int:
         except json.JSONDecodeError as exc:
             raise ValueError(f"config is not valid JSON: {exc}") from None
     grid = harness.grid_from_dict(data)
-    threads = _resolve_threads(args.threads)
+    # checked before --out is opened, so a refused count leaves no file
+    if args.threads < 1:
+        raise ValueError("the worker count must be positive")
     # --out is opened before any solve, so an unwritable path fails first;
     # appending leaves an existing file whole until the new CSV replaces it
     with open(args.out, "a", encoding="utf-8") as fh:
-        result = harness.run_grid(grid, parallelism=threads,
+        result = harness.run_grid(grid, parallelism=args.threads,
                                   record_timing=not args.no_timing)
         fh.truncate(0)
         fh.write(harness.emit_csv(result.records))

@@ -125,9 +125,9 @@ class ExperimentGrid:
             raise ConfigError("grid needs n >= 1 and nonempty s/m lists")
         if any(not 1 <= s <= self.n for s in self.s_list):
             raise ConfigError("every s must satisfy 1 <= s <= n")
-        if self.configs is None:  # a grid holds settings, never None
-            raise ConfigError("configs must be SolverConfigs, got None")
-        _instance(self.configs, SolverConfigs, "configs")
+        if not isinstance(self.configs, SolverConfigs):  # None included
+            raise ConfigError(
+                f"configs must be SolverConfigs, got {self.configs!r}")
         if any(m < 1 for m in self.m_list):
             raise ConfigError("every m must be positive")
         if max(self.s_list) > min(self.m_list):
@@ -215,21 +215,20 @@ def solve(e: Ensemble, s: int, method: str,
 
 def run_trial(n: int, s: int, m: int, method: str, trial_index: int,
               grid_seed: int, configs: SolverConfigs | None = None, *,
-              success_threshold: float = ExperimentGrid.success_threshold,
               record_timing: bool = True) -> TrialRecord:
     """Sample one instance from the derived seed, solve it, record it.
 
     Identical arguments yield identical records apart from ``elapsed_ms``
     (pass record_timing=False for byte-identical reruns), equal to the
-    matching ``run_grid`` record: both run BLAS on one thread. Degenerate
-    solves are recorded (rel_error = 1 for a zero estimate), never raised.
-    configs None means ``SolverConfigs()``. Arguments a grid would
-    refuse, configs of any other type, or a trial_index outside
+    matching ``run_grid`` record: both run BLAS on one thread. Success
+    is judged by the default ``ExperimentGrid.success_threshold``.
+    Degenerate solves are recorded (rel_error = 1 for a zero estimate),
+    never raised. configs None means ``SolverConfigs()``. Arguments a
+    grid would refuse, configs of any other type, or a trial_index outside
     [0, 2^64), raise ConfigError before any sampling.
     """
     grid = ExperimentGrid(n=n, s_list=(s,), m_list=(m,), trials=1,
                           seed=grid_seed, methods=(method,),
-                          success_threshold=success_threshold,
                           configs=_instance(configs, SolverConfigs,
                                             "configs"))
     return _cell_task((grid, record_timing, grid.s_list[0], grid.m_list[0],

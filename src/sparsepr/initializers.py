@@ -222,14 +222,20 @@ def restricted_ybar(e: Ensemble, support) -> np.ndarray:
     return (As * weights[:, None]).T @ As / e.m
 
 
+def _block_top(e: Ensemble, support: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Top eigenvector of Ybar's block on ``support``, lifted to length n,
+    and whether that block is degenerate (zero)."""
+    eig = top_eigenvector(restricted_ybar(e, support))
+    v = np.zeros(e.n)
+    v[support] = eig.vector
+    return v, eig.degenerate
+
+
 def _spectral_from_support(e: Ensemble, support: np.ndarray,
                            j0: int | None) -> InitEstimate:
-    block = restricted_ybar(e, support)
-    eig = top_eigenvector(block)
-    x0 = np.zeros(e.n)
-    x0[support] = eig.vector
-    return InitEstimate(xhat=e.nu * x0, support=support, j0=j0,
-                        degenerate=eig.degenerate, iterations_run=0)
+    v, degenerate = _block_top(e, support)
+    return InitEstimate(xhat=e.nu * v, support=support, j0=j0,
+                        degenerate=degenerate, iterations_run=0)
 
 
 def spectral_init(e: Ensemble, s: int) -> InitEstimate:
@@ -260,18 +266,6 @@ def magnitude_misfit(e: Ensemble, xhat) -> float:
     """Phaseless data misfit ||y - |A xhat|||_2 of a candidate estimate."""
     xhat = np.asarray(xhat, dtype=float)
     return float(np.linalg.norm(e.y - np.abs(apply_sensing(e, xhat))))
-
-
-def _block_top_vector(e: Ensemble, support: np.ndarray,
-                      w: np.ndarray) -> np.ndarray | None:
-    """Top eigenvector of Ybar's block on ``support`` (the support of w),
-    lifted to length n with v.w >= 0; None for a degenerate block."""
-    eig = top_eigenvector(restricted_ybar(e, support))
-    if eig.degenerate:
-        return None
-    v = np.zeros(e.n)
-    v[support] = eig.vector if eig.vector @ w[support] >= 0 else -eig.vector
-    return v
 
 
 def tp_init(e: Ensemble, s: int, *,
@@ -327,9 +321,13 @@ def tp_init(e: Ensemble, s: int, *,
         held = held + 1 if np.array_equal(support, prev) else 0
         if (held >= SUPPORT_HOLD and t < T_MAX
                 and not np.array_equal(support, tried)):
-            tried, v = support, _block_top_vector(e, support, w)
-            if v is not None:
-                # TP's fixed point on the support when T_s' keeps it
+            tried = support
+            v, degenerate = _block_top(e, support)
+            if not degenerate:
+                # TP's fixed point on the support when T_s' keeps it,
+                # signed to match w_t
+                if v[support] @ w[support] < 0:
+                    v[support] = -v[support]
                 t += 1
                 check = truncate(ybar_matvec(op, v), s_prime)
                 if np.array_equal(np.flatnonzero(check), support):

@@ -127,12 +127,13 @@ class Ensemble:
     from the one pass over A that also proves its entries finite: a NaN
     or infinite entry leaves its column's sum non-finite. A finite A
     whose squares overflow is accepted, with an infinite bound.
-    Construction marks A and y read-only, so an ensemble can be shared
-    across threads, and neither value can go stale. y is always copied
-    (m values). A is copied only when it does not own its data (a view,
-    whose base would stay writable); one that owns its data is frozen in
-    place, without an m x n copy, so a view of it taken before
-    construction is the caller's to leave alone. A may be row- or
+    A complex A or y is refused. Construction marks A and y read-only, so
+    an ensemble can be shared across threads, and neither value can go
+    stale. y is always copied (m values) as float64. A float64 A that
+    owns its data is frozen in place, without an m x n copy, so a view of
+    it taken before construction is the caller's to leave alone; any
+    other A (a view, whose base would stay writable, or another dtype) is
+    copied to float64 before its column norms are taken. A may be row- or
     column-major, and every kernel reads either; the copies made here and
     by ``from_measurements``, and ``measure``'s A, are column-major.
     """
@@ -149,15 +150,19 @@ class Ensemble:
             raise ValueError("A shape does not match (m, n)")
         if self.y.shape != (self.m,):
             raise ValueError("y length does not match m")
+        if np.iscomplexobj(self.A) or np.iscomplexobj(self.y):
+            raise ValueError("ensemble entries must be real")
         if np.any(self.y < 0):
             raise ValueError("observations must be nonnegative")
-        col_sq = np.einsum("ij,ij->j", self.A, self.A)
+        A = self.A
+        if not (A.flags.owndata and A.dtype == np.float64):
+            A = np.array(A, dtype=float, order="F")
+        col_sq = np.einsum("ij,ij->j", A, A)
         # a finite sum proves its column finite; a non-finite one is an
         # overflowed square only if every entry is finite
-        if not ((np.all(np.isfinite(col_sq)) or np.all(np.isfinite(self.A)))
+        if not ((np.all(np.isfinite(col_sq)) or np.all(np.isfinite(A)))
                 and np.all(np.isfinite(self.y))):
             raise ValueError("ensemble entries must be finite")
-        A = self.A if self.A.flags.owndata else self.A.copy(order="F")
         y = np.array(self.y, dtype=float)
         for name, array in (("A", A), ("y", y)):
             array.flags.writeable = False
@@ -216,7 +221,10 @@ def measure(x: SparseSignal, m: int, rng: np.random.Generator) -> Ensemble:
 
 def apply_sensing(e: Ensemble, x: np.ndarray) -> np.ndarray:
     """A x from the columns where x is nonzero, as every solver stage
-    passes an s-sparse x; a dense x gives A @ x up to roundoff."""
+    passes an s-sparse x; a dense x gives A @ x up to roundoff. An x
+    whose shape is not (n,) raises ValueError."""
+    if np.shape(x) != (e.n,):
+        raise ValueError(f"x must have shape ({e.n},), got {np.shape(x)}")
     nz = np.flatnonzero(x)
     return e.A[:, nz] @ x[nz]
 

@@ -151,15 +151,18 @@ class TestGrid:
         assert len(records) == 2 * 2 * 2
         assert "wilson95" in proc.stdout
 
-    def test_env_var_thread_default(self, tmp_path):
+    def test_threads_variable_is_not_read(self, tmp_path):
+        # --threads (default 1) is the one worker-count setting
         config = {"n": 16, "s_list": [2], "m_list": [40], "trials": 1,
                   "seed": 1, "methods": ["tp"]}
         cfg_path = tmp_path / "grid.json"
         cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "r.csv"
         proc = run_cli(["grid", "--config", str(cfg_path), "--out",
-                        str(tmp_path / "r.csv"), "--no-timing"],
-                       env={**os.environ, "SPARSEPR_THREADS": "2"})
+                        str(out_path), "--no-timing"],
+                       env={**os.environ, "SPARSEPR_THREADS": "0"})
         assert proc.returncode == 0, proc.stderr
+        assert len(sp.parse_csv(out_path.read_text())) == 1
 
     def test_missing_config_file_exits_3(self, tmp_path):
         proc = run_cli(["grid", "--config", str(tmp_path / "nope.json")])
@@ -314,23 +317,15 @@ class TestGrid:
         assert code == 3
         assert stderr.getvalue().startswith("error:")
 
-    @pytest.mark.parametrize("flag,env", [("0", None), (None, "0"),
-                                          (None, "two")])
-    def test_refused_worker_count_exits_2_leaving_no_out(self, tmp_path,
-                                                         monkeypatch, flag,
-                                                         env):
+    def test_refused_worker_count_exits_2_leaving_no_out(self, tmp_path):
         config = {"n": 16, "s_list": [2], "m_list": [40], "trials": 1,
                   "seed": 1, "methods": ["tp"]}
         cfg_path = tmp_path / "grid.json"
         cfg_path.write_text(json.dumps(config))
         out_path = tmp_path / "r.csv"
-        monkeypatch.delenv("SPARSEPR_THREADS", raising=False)
-        if env is not None:
-            monkeypatch.setenv("SPARSEPR_THREADS", env)
-        threads = [] if flag is None else ["--threads", flag]
         with contextlib.redirect_stderr(io.StringIO()):
             code = main(["grid", "--config", str(cfg_path), "--out",
-                         str(out_path)] + threads)
+                         str(out_path), "--threads", "0"])
         assert code == 2
         assert not out_path.exists()
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 
 import sparsepr as sp
-from sparsepr import model
+from sparsepr import initializers, model, pipeline, refine
 from sparsepr.model import apply_sensing, sgn
 
 
@@ -215,6 +215,26 @@ class TestEnsembleChecks:
         e = sp.Ensemble(n=3, m=4, A=A, y=np.ones(4))
         assert e.col_norm_bound == math.inf
 
+    @pytest.mark.parametrize("A", [
+        np.array([[1, 0], [0, 1], [1, 1]], dtype=bool),
+        # the squares, 9e18 each, wrap when summed in int64
+        np.full((2, 2), 3_000_000_000, dtype=np.int64),
+        # 1 + 2^-24 rounds to 1 in float32
+        np.array([[1.0, 1.0], [2.0**-12, 0.0]], dtype=np.float32),
+    ], ids=["bool", "int64", "float32"])
+    def test_other_dtype_copied_to_float64_with_sound_bound(self, A):
+        e = sp.Ensemble(n=2, m=A.shape[0], A=A, y=np.ones(A.shape[0]))
+        assert e.A.dtype == np.float64
+        np.testing.assert_array_equal(e.A, A.astype(float))
+        assert all(e.col_norm_bound >= v for v in _column_norms(e.A))
+
+    @pytest.mark.parametrize("field", ["A", "y"])
+    def test_complex_entries_refused(self, field):
+        arrays = {"A": np.ones((4, 3)), "y": np.ones(4)}
+        arrays[field] = arrays[field].astype(complex)
+        with pytest.raises(ValueError, match="must be real"):
+            sp.Ensemble(n=3, m=4, **arrays)
+
     @pytest.mark.parametrize("source", ["measure", "from_measurements",
                                         "load_instance"])
     def test_bound_covers_every_column_norm(self, source, tmp_path):
@@ -246,6 +266,23 @@ class TestApplySensing:
             assert np.count_nonzero(x) == k
             np.testing.assert_allclose(apply_sensing(e, x), e.A @ x,
                                        atol=1e-12)
+
+    @pytest.mark.parametrize("length", [40, 52])
+    @pytest.mark.parametrize("call", [
+        lambda e, x: refine.htp_step(e, x, 3),
+        lambda e, x: refine.htp_run(e, x, 3),
+        initializers.magnitude_misfit,
+        pipeline.gradient_residual,
+    ], ids=["htp_step", "htp_run", "magnitude_misfit", "gradient_residual"])
+    def test_wrong_length_refused(self, call, length):
+        # unchecked, a short x would read as zero-padded, a long one as cut
+        rng = sp.trial_rng(6)
+        x = sp.sample_signal(50, 3, rng)
+        e = sp.measure(x, 60, rng)
+        x_wrong = np.zeros(length)
+        x_wrong[:40] = x.to_dense()[:40]
+        with pytest.raises(ValueError, match="shape"):
+            call(e, x_wrong)
 
     def test_sgn_maps_zero_to_plus_one(self):
         np.testing.assert_array_equal(sgn(np.array([-2.0, 0.0, -0.0, 3.0])),
