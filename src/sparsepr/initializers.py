@@ -257,7 +257,7 @@ def modified_spectral_init(e: Ensemble, s: int, *,
     s = _sparsity(e, s)
     if anchor is None:
         anchor = diagonal_anchors(_once(e, "y_diag", lambda: y_diag(e)), 1)[0]
-    j0 = int(anchor)
+    j0 = _integer(anchor, "anchor")
     return _once(e, ("modspec", s, j0), lambda: _spectral_from_support(
         e, top_magnitude_indices(y_column(e, j0), s), j0))
 

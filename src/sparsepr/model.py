@@ -72,6 +72,7 @@ class SparseSignal:
         # must not reach the checked signal
         support = np.array(self.support, dtype=np.intp)
         values = np.array(self.values, dtype=float)
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise ValueError("dimension must be positive")
         if support.ndim != 1 or values.ndim != 1 or support.size != values.size:

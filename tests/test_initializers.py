@@ -7,7 +7,7 @@ import sparsepr as sp
 from sparsepr import initializers
 from sparsepr.initializers import (magnitude_misfit, top_magnitude_indices,
                                    truncation_weights)
-from sparsepr.model import Ensemble
+from sparsepr.model import ConfigError, Ensemble
 
 
 def one_row_ensemble(row, obs):
@@ -340,6 +340,22 @@ class TestModifiedSpectralInit:
         np.testing.assert_allclose(est.xhat, np.zeros(4))
         anchored = sp.modified_spectral_init(e, 2, anchor=3)
         assert anchored.degenerate and anchored.j0 == 3
+
+    @pytest.mark.parametrize("init", [sp.modified_spectral_init, sp.tp_init])
+    @pytest.mark.parametrize("anchor", [2.5, np.float64(2.9), True])
+    def test_anchor_must_be_integer(self, small_instance, monkeypatch,
+                                    init, anchor):
+        # refused before any work, not truncated to j0 = 2 or 1
+        monkeypatch.setattr(initializers, "y_column", None)
+        with pytest.raises(ConfigError, match="anchor must be an integer"):
+            init(small_instance[1], 4, anchor=anchor)
+
+    @pytest.mark.parametrize("init", [sp.modified_spectral_init, sp.tp_init])
+    def test_integral_float_anchor_runs_as_integer(self, small_instance, init):
+        _, e = small_instance
+        got, want = init(e, 4, anchor=2.0), init(e, 4, anchor=2)
+        assert type(got.j0) is int and got.j0 == 2
+        assert got.xhat.tobytes() == want.xhat.tobytes()
 
 
 class TestSpectralInit:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sparsepr as sp
+from sparsepr import harness
 from sparsepr.instance_io import InstanceFormatError
 
 
@@ -125,10 +126,26 @@ def spec_lines(x, e):
 
 class TestWriter:
     def test_edge_values_written_as_spec(self, tmp_path):
-        edges = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e-300]
-        A = np.array([edges, [-v for v in edges[::-1]]])
-        x = sp.SparseSignal(n=5, support=[1, 3, 4], values=edges[1:4][::-1])
-        e = sp.Ensemble.from_measurements(A, [0.0, 5e-324])
+        # the fast range's ends and their neighbours, the switch to
+        # exponent notation, powers of ten past the range and an exact
+        # tie (...345.12)
+        low, high = 2.0 ** -30, 2.0 ** 49
+        edges = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e-300,
+                 low, np.nextafter(low, 0), np.nextafter(low, 1),
+                 high, np.nextafter(high, 0), np.nextafter(high, np.inf),
+                 1e-5, np.nextafter(1e-5, 0), 9.9999999999999995e-5,
+                 1e16, 1e17, 123456789012345.125]
+        # rows of the in-range edges alone, which the kernel writes, and
+        # of each power of ten in the range with two neighbours each side
+        fast = [v for v in edges if v == 0 or low <= abs(v) < high]
+        for p in 10.0 ** np.arange(-9, 15):
+            near = np.nextafter(p, [0, np.inf])
+            fast += [p, *near, *np.nextafter(near, [0, np.inf])]
+        fast = np.resize(fast, (len(fast) // len(edges) + 1, len(edges)))
+        A = np.vstack([edges, [-v for v in edges[::-1]], fast, -fast])
+        x = sp.SparseSignal(n=len(edges), support=[1, 3, 4],
+                            values=edges[1:4][::-1])
+        e = sp.Ensemble.from_measurements(A, np.abs(A[:, 5]))
         path = tmp_path / "edges.spr1"
         sp.save_instance(path, x, e)
         assert path.read_text(encoding="utf-8").splitlines() == \
@@ -136,6 +153,16 @@ class TestWriter:
         e2, x2 = sp.load_instance(path)
         assert e2.A.tobytes() == e.A.tobytes()
         assert x2.to_dense().tobytes() == x.to_dense().tobytes()
+
+    def test_workload_size_instance_written_as_spec(self, tmp_path):
+        # n=1000, m=900: 112 blocks of 8 rows, then one of 4
+        rng = sp.trial_rng(harness.derive_trial_seed(1, 1000, 15, 900, 0))
+        x = sp.sample_signal(1000, 15, rng)
+        e = sp.measure(x, 900, rng)
+        path = tmp_path / "full.spr1"
+        sp.save_instance(path, x, e)
+        assert path.read_bytes() == (
+            "\n".join(spec_lines(x, e)) + "\n").encode("utf-8")
 
     def test_sampled_instance_written_as_spec(self, tmp_path):
         rng = sp.trial_rng(7)

@@ -6,7 +6,7 @@ import scipy.integrate
 
 import sparsepr as sp
 from sparsepr import initializers, model, pipeline, refine
-from sparsepr.model import apply_sensing, sgn
+from sparsepr.model import ConfigError, apply_sensing, sgn
 
 
 class TestSparseSignal:
@@ -36,6 +36,16 @@ class TestSparseSignal:
         with pytest.raises(ValueError):
             sp.SparseSignal(n=5, support=np.array([], dtype=int),
                             values=np.array([]))
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_dimension_must_be_integer(self, n):
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            sp.SparseSignal(n=n, support=[0], values=[1.0])
+
+    def test_integral_float_dimension_stored_as_integer(self):
+        x = sp.SparseSignal(n=3.0, support=[0], values=[1.0])
+        assert type(x.n) is int and x.n == 3
+        np.testing.assert_array_equal(x.to_dense(), [1.0, 0.0, 0.0])
 
     def test_write_through_a_view_leaves_the_signal_whole(self):
         # a write to the caller's buffer would break the nonzero invariant

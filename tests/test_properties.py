@@ -3,7 +3,8 @@
 Grid configs arrive as JSON and instances as SPR1 text. The CLI maps
 ConfigError and InstanceFormatError to exit code 2, so any other
 exception from these two readers would end in a traceback. The SPR1
-reader's bulk parse must do what a line-by-line ``float`` parse does.
+reader's bulk parse must do what a line-by-line ``float`` parse does,
+and the SPR1 writer must write what ``format(v, ".17g")`` writes.
 No solver runs here. The one ranking rule that TP, HTP and the
 anchored initializers select with (top-k, truncation and the diagonal
 anchor order) is checked against a full sort on tie-heavy inputs.
@@ -23,6 +24,8 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
+from test_instance_io import spec_lines  # noqa: E402
 
 from sparsepr import (cli, diagonal_anchors, harness,  # noqa: E402
                       truncate)
@@ -30,7 +33,9 @@ from sparsepr.harness import ConfigError, grid_from_dict  # noqa: E402
 from sparsepr.initializers import (_ranked,  # noqa: E402
                                    top_magnitude_indices)
 from sparsepr.instance_io import (InstanceFormatError,  # noqa: E402
-                                  _parse_floats, load_instance)
+                                  _parse_floats, format_row, load_instance,
+                                  save_instance)
+from sparsepr.model import Ensemble, SparseSignal  # noqa: E402
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -241,6 +246,38 @@ def test_bulk_reader_matches_per_line_reader(text):
     assert signal.values.tobytes() == x[support].tobytes()
     assert e.A.tobytes() == A.tobytes()
     assert e.y.tobytes() == y.tobytes()
+
+
+fast_range = (st.floats(2.0 ** -30, 2.0 ** 49, exclude_max=True)
+              | st.floats(-(2.0 ** 49), -(2.0 ** -30), exclude_min=True)
+              | st.sampled_from([0.0, -0.0]))
+
+
+def matrices(elements):
+    # more than 8 rows spans blocks of the writer
+    return hnp.arrays(np.float64, st.tuples(st.integers(1, 20),
+                                            st.integers(1, 8)),
+                      elements=elements)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(matrices(st.floats(allow_nan=False, allow_infinity=False,
+                                    width=64)),
+                 matrices(fast_range)))
+def test_writer_bytes_are_the_per_value_format(A):
+    # any finite values, subnormals included, and arrays whose rows all
+    # lie in the range the kernel writes
+    x = SparseSignal(n=A.shape[1], support=[0], values=[1.0])
+    # y clipped, so that nu = rms(y) stays finite
+    e = Ensemble.from_measurements(A, np.abs(A[:, 0]).clip(max=1e150))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.spr1")
+        save_instance(path, x, e)
+        with open(path, "rb") as fh:
+            data = fh.read()
+    assert data == ("\n".join(spec_lines(x, e)) + "\n").encode("utf-8")
+    for row, line in zip(A, spec_lines(x, e)[2:]):
+        assert format_row(row) == line
 
 
 @st.composite
